@@ -27,8 +27,6 @@ from .params import (
 from .potential import (
     EvaluationError,
     FieldSample,
-    LUFactor,
-    LUSolveResult,
     NearSingularError,
     PotentialEvaluator,
     SingularMatrixError,
@@ -37,7 +35,6 @@ from .potential import (
     eval_fields,
     linear_system_fields,
     log_det_derivative,
-    lu_solve,
     soliton_profile,
 )
 from .verify import (
@@ -60,8 +57,6 @@ __all__ = [
     "EvaluationError",
     "FieldSample",
     "InvalidParameterSetError",
-    "LUFactor",
-    "LUSolveResult",
     "NearSingularError",
     "ParameterSet",
     "PotentialEvaluator",
@@ -81,7 +76,6 @@ __all__ = [
     "linear_system_fields",
     "load_parameter_set",
     "log_det_derivative",
-    "lu_solve",
     "nv_residual",
     "parameter_set_from_dict",
     "point_residuals",

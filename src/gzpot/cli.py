@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +44,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("grid counts must be >= 2")
+        spans = (self.x1_max - self.x1_min, self.x2_max - self.x2_min)
+        if not all(math.isfinite(s) for s in spans):
+            raise ValueError("grid ranges must be finite")
         if not (self.x1_min < self.x1_max and self.x2_min < self.x2_max):
             raise ValueError("grid ranges must satisfy min < max")
 
@@ -142,28 +146,28 @@ def cmd_eval(args) -> int:
     ps, code = _load_validated(args.config)
     if ps is None:
         return code
+    if not math.isfinite(args.t):
+        print(f"error: --t must be finite, got {args.t!r}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         grid = parse_grid(args.grid, args.t)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    ev = pot.PotentialEvaluator(ps)
     x1s, x2s = grid.axes()
+    x1 = np.repeat(x1s, x2s.size)
+    x2 = np.tile(x2s, x1s.size)
+    z = np.empty(x1.size, dtype=complex)
+    z.real, z.imag = x1, x2
+    try:
+        v, w, absdet, _, _ = pot._fields(pot.PotentialEvaluator(ps), z, np.full(z.size, grid.t))
+    except pot.EvaluationError as exc:
+        print(f"error: evaluation failed at {exc.point}: {exc}", file=sys.stderr)
+        return EXIT_DIAGNOSTIC
+    row = ",".join(["{:.17g}"] * 6).format
+    columns = (x1, x2, v, w.real, w.imag, absdet)
     lines = ["x1,x2,v,w_re,w_im,absdet"]
-    for x1 in x1s:
-        for x2 in x2s:
-            point = pot.SpacetimePoint(float(x1), float(x2), grid.t)
-            try:
-                smp = pot.eval_fields(ev, point)
-            except pot.EvaluationError as exc:
-                print(f"error: evaluation failed at {point}: {exc}", file=sys.stderr)
-                return EXIT_DIAGNOSTIC
-            lines.append(
-                ",".join(
-                    _fmt(val)
-                    for val in (point.x1, point.x2, smp.v, smp.w.real, smp.w.imag, smp.absdet)
-                )
-            )
+    lines.extend(row(*vals) for vals in zip(*(col.tolist() for col in columns)))
     text = "\n".join(lines) + "\n"
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
@@ -219,6 +223,12 @@ def cmd_residual(args) -> int:
     ps, code = _load_validated(args.config)
     if ps is None:
         return code
+    if args.points < 1:
+        print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_PARSE
     ev = pot.PotentialEvaluator(ps)
     points = ver.sample_points(args.points, args.seed)
     try:

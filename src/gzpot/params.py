@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 # Rejection margins for the open constraints lambda != 0, |lambda| != 1; closer
 # approaches make the potential matrix ill-conditioned.
@@ -276,10 +275,19 @@ def forbidden_region_bound(c: complex, energy: float) -> float:
     # three-fold rotation symmetry).
     target = cmath.phase(complex(c))
     target -= third * math.ceil(target / third)
-    phi_p = brentq(
-        lambda p: cmath.phase(_boundary_point(p)) - target, 0.0, third, xtol=1e-14
-    )
-    return energy * abs(_boundary_point(phi_p))
+    # Bisect for arg(_boundary_point(p)) = target, with the phase in closed
+    # form: arg(2 e^{-ip} + e^{2ip}) = atan2(sin 2p - 2 sin p, 2 cos p + cos 2p).
+    lo, hi = 0.0, third
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        phase = math.atan2(
+            math.sin(2.0 * mid) - 2.0 * math.sin(mid), 2.0 * math.cos(mid) + math.cos(2.0 * mid)
+        )
+        if phase > target:
+            lo = mid
+        else:
+            hi = mid
+    return energy * abs(_boundary_point(0.5 * (lo + hi)))
 
 
 def _inverse_residual(s: float, theta: float, u0: complex) -> complex:

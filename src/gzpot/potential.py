@@ -20,6 +20,9 @@ which expands any mixed partial into a signed sum of traces of alternating
 products A^-1 D_a1 A^-1 D_a2 ... (generated symbolically once per derivative
 multiset and cached).  v is real up to rounding; the imaginary part is kept
 as a diagnostic.
+
+Every evaluation goes through one batched kernel, _log_det_partials, which
+inverts A stacked over many points and contracts the traces.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .params import ParameterSet, velocity
 
@@ -38,6 +40,10 @@ DIRECTIONS = ("z", "zbar", "t")
 MAX_DERIVATIVE_ORDER = 5
 # Reciprocal-condition threshold below which evaluation refuses to proceed.
 NEAR_SINGULAR_RCOND = 1e-12
+# Matrix entries per chunk of the batched kernel: bounds the stacked
+# (P, n, n) work arrays, so that peak memory does not grow with the number of
+# points, while a chunk still holds enough points to amortise each call.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 class EvaluationError(Exception):
@@ -45,11 +51,11 @@ class EvaluationError(Exception):
 
 
 class SingularMatrixError(EvaluationError):
-    """Exactly singular matrix met during factorization."""
+    """Potential matrix exactly singular at an evaluation point."""
 
-    def __init__(self, pivot_index: int):
-        super().__init__(f"singular matrix: zero pivot at index {pivot_index}")
-        self.pivot_index = pivot_index
+    def __init__(self, point: "SpacetimePoint"):
+        super().__init__(f"singular potential matrix at {point}")
+        self.point = point
 
 
 class NearSingularError(EvaluationError):
@@ -99,7 +105,8 @@ class FieldSample:
 
     v_imag is the imaginary part discarded when taking v real; for a
     constraint-satisfying parameter set it is rounding noise.
-    cond_estimate is a 1-norm condition estimate of the potential matrix.
+    cond_estimate is the exact 1-norm condition number of the potential
+    matrix, ||A||_1 ||A^-1||_1 from its inverse.
     """
 
     v: float
@@ -107,67 +114,6 @@ class FieldSample:
     absdet: float
     cond_estimate: float
     v_imag: float = 0.0
-
-
-class LUFactor:
-    """Partial-pivoted LU of a square complex matrix (LAPACK zgetrf).
-
-    Exposes solves against the factorization, the absolute determinant and a
-    reciprocal-condition estimate.  Exactly singular input raises
-    SingularMatrixError carrying the zero-pivot index.
-    """
-
-    def __init__(self, matrix: np.ndarray):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        anorm = np.linalg.norm(m, 1)
-        lu, piv, info = lapack.zgetrf(m)
-        if info > 0:
-            raise SingularMatrixError(info - 1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of zgetrf")
-        self._lu = lu
-        self._piv = piv
-        self.n = m.shape[0]
-        self.absdet = float(np.prod(np.abs(np.diag(lu))))
-        rcond, info = lapack.zgecon(lu, anorm)
-        self.rcond = float(rcond) if info == 0 else 0.0
-
-    @property
-    def near_singular(self) -> bool:
-        return self.rcond < NEAR_SINGULAR_RCOND
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        b = np.asarray(rhs, dtype=complex)
-        x, info = lapack.zgetrs(self._lu, self._piv, b.reshape(self.n, -1))
-        if info != 0:
-            raise ValueError(f"zgetrs failed with info={info}")
-        return x.reshape(b.shape)
-
-    def inverse(self) -> np.ndarray:
-        return self.solve(np.eye(self.n, dtype=complex))
-
-
-@dataclass(frozen=True)
-class LUSolveResult:
-    solution: np.ndarray
-    absdet: float
-    rcond: float
-
-    @property
-    def near_singular(self) -> bool:
-        return self.rcond < NEAR_SINGULAR_RCOND
-
-
-def lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> LUSolveResult:
-    """Solve matrix @ x = rhs (one or many right-hand sides) via pivoted LU.
-
-    Returns the solutions together with |det| and a reciprocal-condition
-    estimate; near-singularity is flagged, exact singularity raises.
-    """
-    fac = LUFactor(matrix)
-    return LUSolveResult(fac.solve(rhs), fac.absdet, fac.rcond)
 
 
 class PotentialEvaluator:
@@ -198,25 +144,48 @@ class PotentialEvaluator:
         off = 1.0 / diff
         np.fill_diagonal(off, 0.0)
         self._offdiag = off
-        self._inv_lam2 = inv_lam2
-        for arr in (*self._diag.values(), off, inv_lam2):
+        for arr in (*self._diag.values(), off):
             arr.setflags(write=False)
+        self._plans: dict = {}  # per key set; any two builds of a plan are equal
 
     def direction_diagonal(self, direction: str) -> np.ndarray:
         """Diagonal of the constant matrix dA in the given direction."""
         return self._diag[direction]
 
-    def matrix_at(self, z: complex, zbar: complex, t: float) -> np.ndarray:
-        """A with z and zbar treated as independent variables."""
-        m = self._offdiag.copy()
+    def matrices(self, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """A stacked as (P, n, n) at the points (z_p, conj(z_p), t_p)."""
+        n = self.size
+        m = np.empty((z.size, n, n), dtype=complex)
+        m[...] = self._offdiag
         d = self._diag
-        np.fill_diagonal(m, d["z"] * z + d["zbar"] * zbar + d["t"] * t - self._gammas)
+        m.reshape(z.size, n * n)[:, :: n + 1] = (
+            d["z"] * z[:, None] + d["zbar"] * z.conj()[:, None] + d["t"] * t[:, None]
+            - self._gammas
+        )
         return m
+
+    def _plan(self, keys: tuple[tuple[str, ...], ...]):
+        """How _contract evaluates keys: the order-2 trace monomials folded
+        into conjugated weights (K, n * n), None if there are none, and every
+        other cycle as (key index, coefficient, left half, right half).
+        """
+        if keys not in self._plans:
+            w2, rest = np.zeros((len(keys), self.size**2), dtype=complex), []
+            for k, key in enumerate(keys):
+                for cycle, coeff in _trace_terms(key):
+                    if len(cycle) == 2:
+                        outer = np.multiply.outer(self._diag[cycle[0]], self._diag[cycle[1]])
+                        w2[k] += coeff * outer.ravel().conj()
+                    else:
+                        half = len(cycle) // 2
+                        rest.append((k, coeff, cycle[:half], cycle[half:]))
+            self._plans[keys] = (w2 if w2.any() else None, tuple(rest))
+        return self._plans[keys]
 
 
 def build_matrix(ev: PotentialEvaluator, point: SpacetimePoint) -> np.ndarray:
     """The 4N x 4N potential matrix A at one spacetime point."""
-    return ev.matrix_at(point.z, point.zbar, point.t)
+    return ev.matrices(np.array([point.z]), np.array([point.t]))[0]
 
 
 def _check_index(idx: Sequence[str]) -> tuple[str, ...]:
@@ -254,38 +223,75 @@ def _trace_terms(idx_key: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], int],
     return tuple(sorted(terms.items()))
 
 
-def _trace_sum(factors: dict[str, np.ndarray], key: tuple[str, ...]) -> complex:
-    total = 0.0 + 0.0j
-    for cycle, coeff in _trace_terms(key):
-        prod = factors[cycle[0]]
-        for d in cycle[1:]:
-            prod = prod @ factors[d]
-        total += coeff * np.trace(prod)
-    return total
+def _contract(
+    ev: PotentialEvaluator, ainv: np.ndarray, keys: tuple[tuple[str, ...], ...]
+) -> np.ndarray:
+    """Trace sums (P, K) of the K keys against the stacked inverses ainv (P, n, n)."""
+    w2, rest = ev._plan(keys)
+    p, n, _ = ainv.shape
+    out = np.zeros((p, len(keys)), dtype=complex)
+    if w2 is not None:
+        # tr(X Da X Db) = sum_ij (X o X^T)_ij a_i b_j: no matrix product.
+        # vecdot conjugates its first argument, the weights, back.
+        out += np.vecdot(w2, (ainv * ainv.transpose(0, 2, 1)).reshape(p, 1, n * n))
+    chains: dict[tuple[str, ...], np.ndarray] = {}
+
+    def chain(dirs: tuple[str, ...]) -> np.ndarray:
+        # (A^-1 D_d1)(A^-1 D_d2)...; shared prefixes are built once.
+        if dirs not in chains:
+            if len(dirs) == 1:
+                chains[dirs] = ainv * ev.direction_diagonal(dirs[0])  # scales columns
+            else:
+                chains[dirs] = chain(dirs[:-1]) @ chain(dirs[-1:])
+        return chains[dirs]
+
+    for k, coeff, left, right in rest:
+        if left:
+            out[:, k] += coeff * np.einsum("pij,pji->p", chain(left), chain(right))
+        else:  # first order
+            out[:, k] += coeff * np.einsum("pii->p", chain(right))
+    return out
 
 
-def derivative_table(
-    ev: PotentialEvaluator, point: SpacetimePoint, idx_keys: Iterable[tuple[str, ...]]
-) -> tuple[dict[tuple[str, ...], complex], LUFactor]:
-    """Mixed partials of ln det A for several sorted multisets, one factorization.
+def _log_det_partials(
+    ev: PotentialEvaluator, z, t, keys: tuple[tuple[str, ...], ...]
+) -> tuple[dict[tuple[str, ...], np.ndarray], np.ndarray, np.ndarray]:
+    """Mixed partials of ln det A at many points (z_p, conj(z_p), t_p).
 
-    Cheaper than repeated log_det_derivative calls when many derivatives are
-    needed at the same point; keys must be sorted tuples over the direction
-    alphabet.
+    z and t are equal-length sequences; keys is a tuple of sorted derivative
+    multisets.  Returns the partials per key, |det A| and the exact 1-norm
+    condition number ||A||_1 ||A^-1||_1, each of shape (P,).  The points are
+    processed in chunks of _CHUNK_ELEMENTS matrix entries, and the first point
+    in input order whose matrix is singular or near-singular raises.
     """
-    fac = LUFactor(build_matrix(ev, point))
-    if fac.near_singular:
-        raise NearSingularError(point, fac.absdet, fac.rcond)
-    ainv = fac.inverse()
-    factors: dict[str, np.ndarray] = {}
-    out: dict[tuple[str, ...], complex] = {}
-    for key in idx_keys:
-        for d in set(key):
-            if d not in factors:
-                # (A^-1 D_d) scales the columns of A^-1.
-                factors[d] = ainv * ev.direction_diagonal(d)[None, :]
-        out[key] = _trace_sum(factors, key)
-    return out, fac
+    z = np.asarray(z, dtype=complex).ravel()
+    t = np.asarray(t, dtype=float).ravel()
+    if z.size == 0:
+        raise ValueError("no points to evaluate")
+    if not (np.isfinite(z).all() and np.isfinite(t).all()):
+        raise ValueError("spacetime coordinates must be finite")
+    step = max(1, _CHUNK_ELEMENTS // ev.size**2)
+    parts = []
+    for lo in range(0, z.size, step):
+        a = ev.matrices(z[lo : lo + step], t[lo : lo + step])
+        sign, logdet = np.linalg.slogdet(a)
+        try:
+            ainv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            i = int((sign == 0).argmax())
+            if i:  # a near-singular point before it must raise first
+                _log_det_partials(ev, z[lo : lo + i], t[lo : lo + i], keys)
+            raise SingularMatrixError(SpacetimePoint.from_z(z[lo + i], t[lo + i])) from None
+        # 1-norms: the largest column sums of moduli.
+        cond = np.abs(a).sum(axis=1).max(axis=1) * np.abs(ainv).sum(axis=1).max(axis=1)
+        good = cond <= 1.0 / NEAR_SINGULAR_RCOND  # NaN is not good
+        if not good.all():
+            i = int(good.argmin())
+            point = SpacetimePoint.from_z(z[lo + i], t[lo + i])
+            raise NearSingularError(point, float(np.exp(logdet[i])), float(1.0 / cond[i]))
+        parts.append((_contract(ev, ainv, keys), np.exp(logdet), cond))
+    der, absdet, cond = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return {key: der[:, k] for k, key in enumerate(keys)}, absdet, cond
 
 
 def log_det_derivative(
@@ -297,11 +303,18 @@ def log_det_derivative(
     not depend on its ordering.
     """
     key = tuple(sorted(_check_index(idx)))
-    return derivative_table(ev, point, (key,))[0][key]
+    return complex(_log_det_partials(ev, [point.z], [point.t], (key,))[0][key][0])
 
 
 _KEY_V = ("z", "zbar")
 _KEY_W = ("z", "z")
+
+
+def _fields(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, ...]:
+    """(v, w, |det A|, condition number, Im of the v expression) at many points."""
+    der, absdet, cond = _log_det_partials(ev, z, t, (_KEY_V, _KEY_W))
+    g = -4.0 * der[_KEY_V]
+    return g.real, 12.0 * der[_KEY_W], absdet, cond, g.imag
 
 
 def eval_fields(ev: PotentialEvaluator, point: SpacetimePoint) -> FieldSample:
@@ -310,14 +323,13 @@ def eval_fields(ev: PotentialEvaluator, point: SpacetimePoint) -> FieldSample:
     v = Re(-4 F_z_zbar), w = 12 F_zz for F = ln det A; the imaginary part of
     the v expression is reported in the sample as a reality diagnostic.
     """
-    der, fac = derivative_table(ev, point, (_KEY_V, _KEY_W))
-    g = -4.0 * der[_KEY_V]
+    v, w, absdet, cond, v_imag = _fields(ev, [point.z], [point.t])
     return FieldSample(
-        v=g.real,
-        w=12.0 * der[_KEY_W],
-        absdet=fac.absdet,
-        cond_estimate=1.0 / fac.rcond,
-        v_imag=g.imag,
+        v=float(v[0]),
+        w=complex(w[0]),
+        absdet=float(absdet[0]),
+        cond_estimate=float(cond[0]),
+        v_imag=float(v_imag[0]),
     )
 
 
@@ -332,19 +344,19 @@ def linear_system_fields(
     -6 i sqrt(E) lambda_j^-2 e_j.  Exists as a cross-check of eval_fields;
     v is returned as the complex trace without taking the real part.
     """
-    fac = LUFactor(build_matrix(ev, point))
-    if fac.near_singular:
-        raise NearSingularError(point, fac.absdet, fac.rcond)
+    a = build_matrix(ev, point)
+    rcond = 1.0 / np.linalg.cond(a, 1)
+    if not rcond >= NEAR_SINGULAR_RCOND:
+        raise NearSingularError(point, float(abs(np.linalg.det(a))), float(rcond))
     sqrt_e = math.sqrt(ev.params.energy)
-    deriv_scale = (0.5j * sqrt_e * ev._inv_lam2)[:, None]
+    dz = ev.direction_diagonal("z")  # -i sqrt(E) / (2 lambda^2)
+    deriv_scale = -dz[:, None]
 
-    psi = fac.solve(-2j * sqrt_e * np.eye(ev.size, dtype=complex))
-    psi_z = fac.solve(deriv_scale * psi)
-    v = np.trace(psi_z)
+    psi = np.linalg.solve(a, -2j * sqrt_e * np.eye(ev.size, dtype=complex))
+    v = np.trace(np.linalg.solve(a, deriv_scale * psi))
 
-    eta = fac.solve(np.diag(-6j * sqrt_e * ev._inv_lam2))
-    eta_z = fac.solve(deriv_scale * eta)
-    w = np.trace(eta_z)
+    eta = np.linalg.solve(a, np.diag(12.0 * dz))
+    w = np.trace(np.linalg.solve(a, deriv_scale * eta))
     return complex(v), complex(w)
 
 
@@ -357,22 +369,8 @@ def soliton_profile(
     block depends on (z, t) only through z - c_k t, so the result does not
     depend on t (up to rounding).  For N = 1 this reproduces v, w themselves.
     """
-    n_blocks = ev.size // 4
-    if not 1 <= block <= n_blocks:
-        raise ValueError(f"block index {block} out of range 1..{n_blocks}")
-    sl = slice(4 * (block - 1), 4 * block)
-    c = velocity(ev.params.lambdas[sl.start], ev.params.energy)
-    z = complex(xi) + c * t
-    point = SpacetimePoint.from_z(z, t)
-
-    sub = ev.matrix_at(z, z.conjugate(), t)[sl, sl]
-    fac = LUFactor(sub)
-    if fac.near_singular:
-        raise NearSingularError(point, fac.absdet, fac.rcond)
-    ainv = fac.inverse()
-    factors = {
-        d: ainv * ev.direction_diagonal(d)[sl][None, :] for d in ("z", "zbar")
-    }
-    nu = (-4.0 * _trace_sum(factors, _KEY_V)).real
-    omega = 12.0 * _trace_sum(factors, _KEY_W)
-    return nu, omega
+    ps = ParameterSet(ev.params.energy, *ev.params.block(block))
+    bev = PotentialEvaluator(ps)
+    z = complex(xi) + velocity(ps.lambdas[0], ps.energy) * t
+    v, w, *_ = _fields(bev, [z], [t])
+    return float(v[0]), complex(w[0])

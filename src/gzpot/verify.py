@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import block_velocities, velocity
-from .potential import (
-    PotentialEvaluator,
-    SpacetimePoint,
-    derivative_table,
-    eval_fields,
-    soliton_profile,
-)
+from .params import ParameterSet, block_velocities, velocity
+from .potential import PotentialEvaluator, SpacetimePoint, _fields, _log_det_partials
 
 # Derivative multisets of F entering the residuals (sorted keys).
 _K_V = ("z", "zbar")
@@ -113,40 +107,39 @@ def sample_points(
     ]
 
 
-def point_residuals(ev: PotentialEvaluator, point: SpacetimePoint) -> tuple[float, float]:
-    """(evolution, constraint) residual magnitudes at a single point."""
-    der, _ = derivative_table(ev, point, _RESIDUAL_KEYS)
+def _residuals(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, np.ndarray]:
+    """(evolution, constraint) residual magnitudes at many points (z, t)."""
+    der, _, _ = _log_det_partials(ev, z, t, _RESIDUAL_KEYS)
     v = (-4.0 * der[_K_V]).real
     w = 12.0 * der[_K_W]
     dt_v = (-4.0 * der[_K_TV]).real
     # d_z of v = Re(-4 F_z_zbar) by the Wirtinger rule; its conjugate-pair
     # structure makes the constraint residual a genuine reality check.
-    dz_v = -2.0 * (der[_K_ZV] + der[_K_ZBV].conjugate())
-    dz3_v = -2.0 * (der[_K_Z3V_A] + der[_K_Z3V_B].conjugate())
+    dz_v = -2.0 * (der[_K_ZV] + der[_K_ZBV].conj())
+    dz3_v = -2.0 * (der[_K_Z3V_A] + der[_K_Z3V_B].conj())
     dz_w = 12.0 * der[_K_ZW]
     dzbar_w = 12.0 * der[_K_ZV]
 
     rhs = 4.0 * (4.0 * dz3_v + dz_v * w + v * dz_w - ev.params.energy * dz_w).real
-    evolution = abs(dt_v - rhs)
-    constraint = abs(dzbar_w + 3.0 * dz_v)
-    return evolution, constraint
+    return np.abs(dt_v - rhs), np.abs(dzbar_w + 3.0 * dz_v)
+
+
+def point_residuals(ev: PotentialEvaluator, point: SpacetimePoint) -> tuple[float, float]:
+    """(evolution, constraint) residual magnitudes at a single point."""
+    evolution, constraint = _residuals(ev, [point.z], [point.t])
+    return float(evolution[0]), float(constraint[0])
 
 
 def nv_residual(
     ev: PotentialEvaluator, points: list[SpacetimePoint], seed: int | None = None
 ) -> ResidualReport:
-    """Max equation residuals over a point sample.
+    """Max equation residuals over a non-empty point sample.
 
     All derivatives are analytic (trace calculus); near-singular evaluation
     aborts with the offending point attached to the exception.
     """
-    evolution = 0.0
-    constraint = 0.0
-    for pt in points:
-        e, c = point_residuals(ev, pt)
-        evolution = max(evolution, e)
-        constraint = max(constraint, c)
-    return ResidualReport(evolution, constraint, len(points), seed)
+    evolution, constraint = _residuals(ev, [p.z for p in points], [p.t for p in points])
+    return ResidualReport(float(evolution.max()), float(constraint.max()), len(points), seed)
 
 
 def travel_wave_error(
@@ -162,16 +155,17 @@ def travel_wave_error(
     the error is genuinely nonzero for every candidate block velocity.
     """
     c = velocity(ev.params.lambdas[4 * (block - 1)], ev.params.energy)
-    worst = 0.0
-    for pt in points:
-        shifted = SpacetimePoint.from_z(pt.z + c * dt, pt.t + dt)
-        worst = max(worst, abs(eval_fields(ev, shifted).v - eval_fields(ev, pt).v))
-    return worst
+    z = np.array([p.z for p in points])
+    t = np.array([p.t for p in points])
+    shifted = _fields(ev, z + c * dt, t + dt)[0]
+    return float(np.abs(shifted - _fields(ev, z, t)[0]).max())
 
 
-def _window_grid(radius: float, n: int) -> list[complex]:
+def _window_grid(radius: float, n: int) -> np.ndarray:
     g = np.linspace(-radius, radius, n)
-    return [complex(a, b) for a in g for b in g if a * a + b * b <= radius * radius]
+    a, b = np.repeat(g, g.size), np.tile(g, g.size)
+    inside = a * a + b * b <= radius * radius
+    return a[inside] + 1j * b[inside]
 
 
 def asymptotic_error_sweep(
@@ -190,10 +184,10 @@ def asymptotic_error_sweep(
     every block velocity (there the field must die out).
     """
     times = [float(t) for t in times]
-    if not times or any(t <= 0 for t in times) or any(
+    if not times or not all(0 < t < math.inf for t in times) or any(
         b <= a for a, b in zip(times, times[1:])
     ):
-        raise ValueError("times must be positive and strictly increasing")
+        raise ValueError("times must be finite, positive and strictly increasing")
     velocities = block_velocities(ev.params)
     if not 1 <= block <= velocities.size:
         raise ValueError(f"block index {block} out of range 1..{velocities.size}")
@@ -206,28 +200,29 @@ def asymptotic_error_sweep(
 
     c = complex(velocities[block - 1])
     window = _window_grid(window_radius, window_points)
-    profiles = [soliton_profile(ev, block, xi) for xi in window]
+    if not window.size:
+        raise ValueError(
+            f"profile window of radius {window_radius:g} with {window_points} points "
+            "per axis holds no point"
+        )
+    # The block profile: the block's own 4x4 subblock of A, at t = 0.
+    block_ev = PotentialEvaluator(ParameterSet(ev.params.energy, *ev.params.block(block)))
+    nu, omega, *_ = _fields(block_ev, window, np.zeros(window.size))
 
-    tables = []
-    for sign in (1.0, -1.0):
-        errors_v, errors_w, probe = [], [], []
-        for t in times:
-            tt = sign * t
-            ev_err = 0.0
-            ew_err = 0.0
-            probe_sup = 0.0
-            for xi, (nu, omega) in zip(window, profiles):
-                sample = eval_fields(ev, SpacetimePoint.from_z(xi + c * tt, tt))
-                ev_err = max(ev_err, abs(sample.v - nu))
-                ew_err = max(ew_err, abs(sample.w - omega))
-                probe_sample = eval_fields(
-                    ev, SpacetimePoint.from_z(xi + probe_velocity * tt, tt)
-                )
-                probe_sup = max(probe_sup, abs(probe_sample.v))
-            errors_v.append(ev_err)
-            errors_w.append(ew_err)
-            probe.append(probe_sup)
-        tables.append(AsymptoticsTable(tuple(errors_v), tuple(errors_w), tuple(probe)))
+    # One batch, ordered as a point-by-point sweep would go (sign, time,
+    # window point, co-moving before probe), so that the same point fails first.
+    tt = np.multiply.outer((1.0, -1.0), times)[:, :, None, None]
+    z = window[:, None] + np.array([c, probe_velocity]) * tt
+    v, w, *_ = _fields(ev, z, np.broadcast_to(tt, z.shape))
+    v, w = v.reshape(z.shape), w.reshape(z.shape)
+    tables = [
+        AsymptoticsTable(
+            tuple(np.abs(v[s, :, :, 0] - nu).max(axis=1).tolist()),
+            tuple(np.abs(w[s, :, :, 0] - omega).max(axis=1).tolist()),
+            tuple(np.abs(v[s, :, :, 1]).max(axis=1).tolist()),
+        )
+        for s in range(2)
+    ]
 
     return AsymptoticsReport(
         block=block,

@@ -1,9 +1,10 @@
 """Independent numerical oracles used by the tests.
 
-Everything here deliberately avoids the package's LU and trace machinery:
+Everything here deliberately avoids the package's evaluation kernel:
 matrices are assembled entry by entry, determinants come from
-numpy.linalg.slogdet, and derivatives come from central finite differences
-with one Richardson extrapolation level.
+numpy.linalg.slogdet or det, the fields come from one point at a time by
+explicit products, and derivatives come from central finite differences with
+one Richardson extrapolation level.
 """
 
 from __future__ import annotations
@@ -45,6 +46,19 @@ def direction_diagonals(ps):
         "zbar": np.full(lam.size, 0.5j * se),
         "t": -3j * e * se * (lam2 - 1.0 / lam2**2),
     }
+
+
+def trace_fields(ps, zv, t):
+    """(v, w, |det A|) at one point from the loop-form matrix, an explicit
+    inverse and the full products whose traces give the mixed partials."""
+    a = oracle_matrix(ps, zv, zv.conjugate(), t)
+    ainv = np.linalg.inv(a)
+    d = direction_diagonals(ps)
+    fz = ainv @ np.diag(d["z"])
+    fzbar = ainv @ np.diag(d["zbar"])
+    v = (4.0 * np.trace(fz @ fzbar)).real
+    w = -12.0 * np.trace(fz @ fz)
+    return v, w, abs(np.linalg.det(a))
 
 
 def _logdet_ratio(ps, p1, p2):

@@ -301,3 +301,39 @@ def test_asymptotics_bad_block_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "block" in err
+
+
+# -- rejected input ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("residual", "--points", "0"),
+        ("residual", "--points", "-3"),
+        ("residual", "--seed", "-1"),
+        ("eval", "--grid=-1:1:3,-1:1:3", "--t", "nan"),
+        ("eval", "--grid=-1:1:3,-1:1:3", "--t", "inf"),
+        ("eval", "--grid=-inf:1:3,-1:1:3"),
+        ("asymptotics", "--block", "1", "--times", "10,100", "--window-points", "0"),
+        ("asymptotics", "--block", "1", "--times", "10,nan"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_input_exit_2_one_line(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, N1_CONFIG)
+    code, out, err = run(capsys, argv[0], cfg, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_near_singular_exit_4_names_point(tmp_path, capsys, monkeypatch, near_singular_set):
+    # The near-singular set breaks the gamma constraints, so no config file
+    # can hold it; the loader and validation are bypassed to reach evaluation.
+    monkeypatch.setattr(cli.par, "load_parameter_set", lambda path: near_singular_set)
+    monkeypatch.setattr(cli.par, "validate", lambda ps: gz.ValidationReport(True, ()))
+    code, out, err = run(capsys, "eval", "unused.json", "--grid=-1:1:3,-1:1:3")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: evaluation failed at (x1=0, x2=0, t=0): near-singular")

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import gzpot as gz
-from gzpot.potential import NEAR_SINGULAR_RCOND
+from gzpot.potential import _CHUNK_ELEMENTS, NEAR_SINGULAR_RCOND, _fields, _log_det_partials
 
-from oracles import fd_logdet_derivative, fd_steps, oracle_matrix
+from oracles import fd_logdet_derivative, fd_steps, oracle_matrix, trace_fields
 
 SQRT2 = math.sqrt(2.0)
 
@@ -72,46 +72,102 @@ def test_matrix_matches_loop_oracle(n3_standard):
     )
 
 
-# -- linear algebra ------------------------------------------------------------
+# -- batched kernel ------------------------------------------------------------
+
+KERNEL_KEYS = (
+    ("t",),
+    ("z", "zbar"),
+    ("t", "z", "zbar"),
+    ("z", "z", "z", "zbar"),
+    ("t", "z", "z", "zbar", "zbar"),
+)
 
 
-def test_lu_solve_identity():
-    res = gz.lu_solve(np.eye(4, dtype=complex), np.eye(4, dtype=complex)[:, 0])
-    assert np.allclose(res.solution, [1, 0, 0, 0])
-    assert abs(res.absdet - 1.0) < 1e-15
-    assert not res.near_singular
+def _points(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n), rng.uniform(-1, 1, n)
 
 
-def test_lu_solve_diagonal_example():
-    res = gz.lu_solve(np.diag([2.0, 1.0 + 1.0j]), np.array([2.0, 2.0]))
-    assert np.allclose(res.solution, [1.0, 1.0 - 1.0j])
-    assert abs(res.absdet - 2.0 * SQRT2) < 1e-14
+@pytest.mark.parametrize("fixture", ["n1_standard", "n2_standard", "n3_standard", "n4_standard"])
+def test_batched_kernel_matches_oracle_and_single_points(fixture, request):
+    ps = request.getfixturevalue(fixture)
+    ev = gz.PotentialEvaluator(ps)
+    chunk = _CHUNK_ELEMENTS // ev.size**2
+    for count in (1, chunk, chunk + 1):
+        z, t = _points(count, seed=count)
+        v, w, absdet, cond, v_imag = _fields(ev, z, t)
+        for i in range(count):
+            v_ref, w_ref, det_ref = trace_fields(ps, z[i], t[i])
+            assert abs(v[i] - v_ref) <= 1e-12 * (1.0 + abs(v_ref))
+            assert abs(w[i] - w_ref) <= 1e-12 * (1.0 + abs(w_ref))
+            assert abs(absdet[i] - det_ref) <= 1e-12 * det_ref
+        assert np.all(cond >= 1.0) and np.all(np.abs(v_imag) <= 1e-9 * (1.0 + np.abs(v)))
+        der, _, _ = _log_det_partials(ev, z, t, KERNEL_KEYS)
+        # The first and last point of each chunk, and one inside.
+        for i in sorted({0, count // 2, min(chunk, count) - 1, count - 1}):
+            pt = gz.SpacetimePoint.from_z(z[i], t[i])
+            for key in KERNEL_KEYS:
+                ref = gz.log_det_derivative(ev, pt, key)
+                assert abs(der[key][i] - ref) <= 1e-12 * abs(ref), (count, i, key)
 
 
-def test_lu_solve_multiply_then_solve():
-    rng = np.random.default_rng(2)
-    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    x = rng.normal(size=8) + 1j * rng.normal(size=8)
-    res = gz.lu_solve(m, m @ x)
-    assert np.max(np.abs(res.solution - x)) / np.max(np.abs(x)) < 1e-10
-    ref = abs(np.linalg.det(m))
-    assert abs(res.absdet - ref) / ref < 1e-10
+def test_batch_raises_at_first_near_singular_point(near_singular_set):
+    ev = gz.PotentialEvaluator(near_singular_set)
+    chunk = _CHUNK_ELEMENTS // ev.size**2
+    z, t = _points(chunk + 10, seed=3)
+    # Both bad points lie in the second chunk; the earlier one must be named.
+    first, second = chunk + 4, chunk + 7
+    z[first], t[first] = 2e-15, 0.0
+    z[second], t[second] = 0.0, 0.0
+    _fields(ev, z[:first], t[:first])  # everything before it is well conditioned
+    with pytest.raises(gz.NearSingularError) as err:
+        _fields(ev, z, t)
+    assert err.value.point == gz.SpacetimePoint(2e-15, 0.0, 0.0)
+    assert err.value.rcond < NEAR_SINGULAR_RCOND
 
 
-def test_lu_factor_exactly_singular():
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = 1.0
-    with pytest.raises(gz.SingularMatrixError) as err:
-        gz.LUFactor(m)
-    assert 0 <= err.value.pivot_index < 3
+def test_exactly_singular_matrix_raises(n1_standard, monkeypatch):
+    ev = gz.PotentialEvaluator(n1_standard)
+    assemble = ev.matrices
+    z, t = _points(5, seed=4)
+
+    def singular_at_second_point(zs, ts):
+        a = assemble(zs, ts)
+        a[zs == z[1]] = np.diag([1.0, 0.0, 0.0, 0.0])
+        return a
+
+    monkeypatch.setattr(ev, "matrices", singular_at_second_point)
+    with pytest.raises(gz.EvaluationError) as err:
+        _fields(ev, z, t)
+    assert isinstance(err.value, gz.SingularMatrixError)
+    assert err.value.point == gz.SpacetimePoint.from_z(z[1], t[1])
 
 
-def test_lu_solve_flags_near_singular():
-    m = np.eye(4, dtype=complex)
-    m[3, 3] = 1e-15
-    res = gz.lu_solve(m, np.ones(4))
-    assert res.rcond < NEAR_SINGULAR_RCOND
-    assert res.near_singular
+def test_near_singular_point_before_a_singular_one_raises_first(near_singular_set, monkeypatch):
+    ev = gz.PotentialEvaluator(near_singular_set)
+    assemble = ev.matrices
+    z, t = _points(6, seed=5)
+    z[2], t[2] = 0.0, 0.0  # near-singular
+
+    def singular_at_fifth_point(zs, ts):
+        a = assemble(zs, ts)
+        a[zs == z[4]] = 0.0
+        return a
+
+    monkeypatch.setattr(ev, "matrices", singular_at_fifth_point)
+    with pytest.raises(gz.NearSingularError) as err:
+        _fields(ev, z, t)
+    assert err.value.point == gz.SpacetimePoint(0.0, 0.0, 0.0)
+
+
+def test_kernel_rejects_nonfinite_and_empty_input(n1_standard):
+    ev = gz.PotentialEvaluator(n1_standard)
+    with pytest.raises(ValueError):
+        _fields(ev, [0.5, complex(math.nan, 0.0)], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        _fields(ev, [0.5], [math.inf])
+    with pytest.raises(ValueError):
+        _fields(ev, [], [])
 
 
 # -- derivative engine ---------------------------------------------------------
