@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate, eval, velocity, solve-velocity, residual, asymptotics.
-Exit codes: 0 success, 1 validation failure, 2 parse error, 3 solver
-non-convergence, 4 evaluation diagnostic.
+Exit codes: 0 success, 1 validation failure, 2 parse error, 3 velocity within
+rounding of the forbidden boundary, 4 evaluation diagnostic.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import verify as ver
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARSE = 2
-EXIT_NONCONVERGENCE = 3
+EXIT_BOUNDARY = 3
 EXIT_DIAGNOSTIC = 4
 
 VELOCITY_SPREAD_TOL = 1e-12
@@ -199,14 +199,14 @@ def cmd_solve_velocity(args) -> int:
     except ValueError as exc:
         print(f"error: --c: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.E <= 0:
-        print("error: --E must be positive", file=sys.stderr)
-        return EXIT_PARSE
     try:
         lams = par.solve_velocity_inverse(c, args.E)
+    except ValueError as exc:  # E not positive and finite, c not finite, overflow
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except par.VelocityInverseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        return EXIT_BOUNDARY
     if lams is None:
         payload = {
             "status": "forbidden",

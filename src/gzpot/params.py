@@ -43,8 +43,8 @@ class InvalidParameterSetError(ValueError):
 
 
 class VelocityInverseError(RuntimeError):
-    """Raised when the velocity inversion fails to converge (distinct from
-    the velocity lying in the forbidden region, which is not an error)."""
+    """Raised when c lies within rounding of the forbidden region's boundary, so
+    that the inversion finds no s > 2 (c inside the region is not an error)."""
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,11 @@ def expand_blocks(energy: float, seeds: Sequence[BlockSeed], check: bool = True)
             raise InvalidParameterSetError(
                 ValidationReport(False, (f"lambda[{4 * k + 1}] is zero within tolerance",))
             )
-        mirror = 1.0 / lam.conjugate()
+        lam_bar = lam.conjugate()  # products, not **: an overflow gives inf
+        mirror = 1.0 / lam_bar
         lambdas[4 * k : 4 * k + 4] = (lam, -lam, mirror, -mirror)
-        gam_mirror = lam.conjugate() ** 2 * gam.conjugate()
-        gammas[4 * k : 4 * k + 4] = (gam, gam - 1.0 / lam, gam_mirror, gam_mirror - 1.0 / mirror)
+        gam_mirror = lam_bar * lam_bar * gam.conjugate()
+        gammas[4 * k : 4 * k + 4] = (gam, gam - 1.0 / lam, gam_mirror, gam_mirror - lam_bar)
     ps = ParameterSet(energy, lambdas, gammas)
     if check:
         report = validate(ps)
@@ -156,8 +157,8 @@ def validate(p: ParameterSet) -> ValidationReport:
     gam = p.gammas
     n4 = lam.size
 
-    if not p.energy > 0:
-        v.append("energy E must be positive")
+    if not 0.0 < p.energy < math.inf:
+        v.append("energy E must be positive and finite")
     if not (np.all(np.isfinite(lam.view(float))) and np.all(np.isfinite(gam.view(float)))):
         v.append("parameters must be finite")
         return ValidationReport(False, tuple(v))
@@ -229,16 +230,20 @@ def velocity_spread(p: ParameterSet) -> float:
     return worst
 
 
-def _deltoid_implicit(x: float, y: float) -> float:
+def _deltoid_implicit(u: complex) -> float:
     """Implicit quartic of the forbidden-region boundary in u = c/E units.
 
     The boundary is the three-cusped curve phi -> 6(2 e^{-i phi} + e^{2 i phi})
     (cusps at radius 18 in the directions 0, +-2pi/3, waists at radius 6 in
     between); it is the |lambda| -> 1 limit of the attainable velocities.
-    Negative inside, zero on the curve, positive outside.
+    Negative inside, zero on the curve, positive outside.  It is written in
+    u - 18 after a turn towards the cusp at 18: along a cusp's axis it vanishes
+    to third order, which rounding hides in the plain form in x, y.
     """
-    r2 = x * x + y * y
-    return r2 * r2 - 48.0 * x**3 + 144.0 * x * y * y + 648.0 * r2 - 34992.0
+    k = round(cmath.phase(u) / (2.0 * math.pi / 3.0))
+    w = u * cmath.exp(-2j * math.pi * k / 3.0) - 18.0
+    d, y = w.real, w.imag
+    return (d * d + y * y) ** 2 + 24.0 * d * (d * d + 9.0 * y * y) + 3888.0 * y * y
 
 
 def forbidden_region_contains(c: complex, energy: float) -> bool:
@@ -247,10 +252,12 @@ def forbidden_region_contains(c: complex, energy: float) -> bool:
     True exactly when u = c/E lies inside or on the three-cusped boundary
     curve; every velocity attained by a valid lambda lies strictly outside.
     """
-    if energy <= 0:
-        raise ValueError("energy must be positive")
+    if not 0.0 < energy < math.inf:
+        raise ValueError(f"energy E must be positive and finite, got {energy!r}")
     u = complex(c) / energy
-    return _deltoid_implicit(u.real, u.imag) <= 0.0
+    if not cmath.isfinite(u):
+        raise ValueError(f"velocity c must be finite, got c/E = {u!r}")
+    return abs(u) <= 18.0 and _deltoid_implicit(u) <= 0.0  # cusps at |u| = 18
 
 
 def _boundary_point(phi_p: float) -> complex:
@@ -290,75 +297,33 @@ def forbidden_region_bound(c: complex, energy: float) -> float:
     return energy * abs(_boundary_point(0.5 * (lo + hi)))
 
 
-def _inverse_residual(s: float, theta: float, u0: complex) -> complex:
-    mu = cmath.exp(-2j * theta)
-    return s * mu + mu.conjugate() ** 2 - u0
-
-
-def _newton_velocity_inverse(
-    u0: complex, s0: float, theta0: float, tol: float, max_iter: int = 80
-) -> tuple[float, float, float]:
-    """Damped Newton on f(s, theta) = s e^{-2 i theta} + e^{4 i theta} - u0.
-
-    Two real unknowns against Re f, Im f; returns (s, theta, |f|).
-    """
-    s, th = s0, theta0
-    f = _inverse_residual(s, th, u0)
-    for _ in range(max_iter):
-        if abs(f) <= tol:
-            break
-        mu = cmath.exp(-2j * th)
-        df_ds = mu
-        df_dth = -2j * s * mu + 4j * mu.conjugate() ** 2
-        det = df_ds.real * df_dth.imag - df_ds.imag * df_dth.real
-        if det == 0:
-            break
-        ds = (-f.real * df_dth.imag + f.imag * df_dth.real) / det
-        dth = (-df_ds.real * f.imag + df_ds.imag * f.real) / det
-        # Backtracking line search on the residual norm.
-        step = 1.0
-        for _ in range(30):
-            f_new = _inverse_residual(s + step * ds, th + step * dth, u0)
-            if abs(f_new) < abs(f):
-                s, th, f = s + step * ds, th + step * dth, f_new
-                break
-            step *= 0.5
-        else:
-            break
-    return s, th, abs(f)
-
-
-def solve_velocity_inverse(
-    c: complex, energy: float, n_starts: int = 16, tol: float = 1e-12
-) -> np.ndarray | None:
+def solve_velocity_inverse(c: complex, energy: float) -> np.ndarray | None:
     """Recover the four-element lambda set whose travel-wave velocity is c.
 
     Returns None when c lies in the forbidden region (no set exists) and the
-    canonically ordered set otherwise; raises VelocityInverseError if no
-    Newton start converges.  The representative root is fixed to |lambda| > 1;
-    with lam = rho e^{i theta} the velocity relation reads
-    c/(6E) = s e^{-2 i theta} + e^{4 i theta} with s = rho^2 + 1/rho^2 > 2,
-    which is solved for (s, theta) and then rho^2 = (s + sqrt(s^2 - 4))/2.
+    canonically ordered set otherwise.  With lam = rho e^{i theta},
+    q = e^{2 i theta} and s = rho^2 + 1/rho^2 > 2, c/(6E) = u0 = s conj(q) + q^2,
+    so s = u0 q - q^3 is real and r = q^2 is the one unit-modulus root of
+    r^3 - u0 r^2 + conj(u0) r - 1 (the others are a pair r, 1/conj(r)).  Raises
+    VelocityInverseError if s <= 2 after rounding, ValueError for non-finite
+    input or an overflow.
     """
-    if energy <= 0:
-        raise ValueError("energy must be positive")
     if forbidden_region_contains(c, energy):
         return None
     u0 = complex(c) / (6.0 * energy)
-    res_tol = tol * max(1.0, abs(u0))
-    s0 = max(2.2, abs(u0))
-    for k in range(n_starts):
-        s, th, res = _newton_velocity_inverse(u0, s0, math.pi * k / n_starts, res_tol)
-        if res > res_tol or s <= 2.0 + 1e-9:
-            continue
-        rho = math.sqrt((s + math.sqrt(s * s - 4.0)) / 2.0)
-        lam = rho * cmath.exp(1j * th)
-        if _close(velocity(lam, energy), complex(c), rtol=1e-9):
-            mirror = 1.0 / lam.conjugate()
-            return canonical_lambda_order([lam, -lam, mirror, -mirror])
-    raise VelocityInverseError(
-        f"velocity inversion did not converge for c={c!r}, E={energy!r}"
-    )
+    r = min(np.roots([1.0, -u0, u0.conjugate(), -1.0]), key=lambda x: abs(abs(x) - 1.0))
+    q = cmath.sqrt(r / abs(r))
+    s = (q * (u0 - q * q)).real
+    q, s = (q, s) if s > 0.0 else (-q, -s)
+    if not s > 2.0:
+        raise VelocityInverseError(
+            f"velocity c={c!r} lies within rounding of the forbidden boundary for E={energy!r}"
+        )
+    lam = math.sqrt(0.5 * (s + math.sqrt((s - 2.0) * (s + 2.0)))) * cmath.sqrt(q)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"velocity c={c!r} is too large for E={energy!r}: lambda overflows")
+    mirror = 1.0 / lam.conjugate()
+    return canonical_lambda_order([lam, -lam, mirror, -mirror])
 
 
 def canonical_lambda_order(lams: Sequence[complex]) -> np.ndarray:

@@ -131,7 +131,6 @@ class PotentialEvaluator:
         lam2 = lam * lam
         inv_lam2 = 1.0 / lam2
         self.size = lam.size
-        self._gammas = params.gammas
         # Coefficients of z, zbar, t in the diagonal of A; these are also the
         # direction matrices d A/d z, d A/d zbar, d A/d t.
         self._diag = {
@@ -148,6 +147,10 @@ class PotentialEvaluator:
             arr.setflags(write=False)
         self._plans: dict = {}  # per key set; any two builds of a plan are equal
 
+    def _block_evaluator(self, k: int) -> "PotentialEvaluator":
+        """Evaluator of block k's own one-block set: the 4x4 diagonal subblock of A."""
+        return PotentialEvaluator(ParameterSet(self.params.energy, *self.params.block(k)))
+
     def direction_diagonal(self, direction: str) -> np.ndarray:
         """Diagonal of the constant matrix dA in the given direction."""
         return self._diag[direction]
@@ -160,7 +163,7 @@ class PotentialEvaluator:
         d = self._diag
         m.reshape(z.size, n * n)[:, :: n + 1] = (
             d["z"] * z[:, None] + d["zbar"] * z.conj()[:, None] + d["t"] * t[:, None]
-            - self._gammas
+            - self.params.gammas
         )
         return m
 
@@ -253,6 +256,7 @@ def _contract(
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow: inf |det A| or a NaN cond
 def _log_det_partials(
     ev: PotentialEvaluator, z, t, keys: tuple[tuple[str, ...], ...]
 ) -> tuple[dict[tuple[str, ...], np.ndarray], np.ndarray, np.ndarray]:
@@ -275,21 +279,20 @@ def _log_det_partials(
     for lo in range(0, z.size, step):
         a = ev.matrices(z[lo : lo + step], t[lo : lo + step])
         sign, logdet = np.linalg.slogdet(a)
-        try:
-            ainv = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            i = int((sign == 0).argmax())
-            if i:  # a near-singular point before it must raise first
-                _log_det_partials(ev, z[lo : lo + i], t[lo : lo + i], keys)
-            raise SingularMatrixError(SpacetimePoint.from_z(z[lo + i], t[lo + i])) from None
+        if (sign == 0).any():
+            a[sign == 0] = np.eye(ev.size)  # so one inverse serves the chunk; raised below
+        ainv = np.linalg.inv(a)
+        absdet = np.exp(logdet)
         # 1-norms: the largest column sums of moduli.
         cond = np.abs(a).sum(axis=1).max(axis=1) * np.abs(ainv).sum(axis=1).max(axis=1)
-        good = cond <= 1.0 / NEAR_SINGULAR_RCOND  # NaN is not good
-        if not good.all():
-            i = int(good.argmin())
+        bad = (sign == 0) | ~(cond <= 1.0 / NEAR_SINGULAR_RCOND)  # NaN is bad
+        if bad.any():
+            i = int(bad.argmax())
             point = SpacetimePoint.from_z(z[lo + i], t[lo + i])
-            raise NearSingularError(point, float(np.exp(logdet[i])), float(1.0 / cond[i]))
-        parts.append((_contract(ev, ainv, keys), np.exp(logdet), cond))
+            if sign[i] == 0:
+                raise SingularMatrixError(point)
+            raise NearSingularError(point, float(absdet[i]), float(1.0 / cond[i]))
+        parts.append((_contract(ev, ainv, keys), absdet, cond))
     der, absdet, cond = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return {key: der[:, k] for k, key in enumerate(keys)}, absdet, cond
 
@@ -310,11 +313,16 @@ _KEY_V = ("z", "zbar")
 _KEY_W = ("z", "z")
 
 
+def _v_w(der: dict) -> tuple[np.ndarray, np.ndarray]:
+    """-4 F_z_zbar, whose real part is v, and w = 12 F_zz from partials of F."""
+    return -4.0 * der[_KEY_V], 12.0 * der[_KEY_W]
+
+
 def _fields(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, ...]:
     """(v, w, |det A|, condition number, Im of the v expression) at many points."""
     der, absdet, cond = _log_det_partials(ev, z, t, (_KEY_V, _KEY_W))
-    g = -4.0 * der[_KEY_V]
-    return g.real, 12.0 * der[_KEY_W], absdet, cond, g.imag
+    g, w = _v_w(der)
+    return g.real, w, absdet, cond, g.imag
 
 
 def eval_fields(ev: PotentialEvaluator, point: SpacetimePoint) -> FieldSample:
@@ -323,14 +331,7 @@ def eval_fields(ev: PotentialEvaluator, point: SpacetimePoint) -> FieldSample:
     v = Re(-4 F_z_zbar), w = 12 F_zz for F = ln det A; the imaginary part of
     the v expression is reported in the sample as a reality diagnostic.
     """
-    v, w, absdet, cond, v_imag = _fields(ev, [point.z], [point.t])
-    return FieldSample(
-        v=float(v[0]),
-        w=complex(w[0]),
-        absdet=float(absdet[0]),
-        cond_estimate=float(cond[0]),
-        v_imag=float(v_imag[0]),
-    )
+    return FieldSample(*(a.item(0) for a in _fields(ev, [point.z], [point.t])))
 
 
 def linear_system_fields(
@@ -369,8 +370,7 @@ def soliton_profile(
     block depends on (z, t) only through z - c_k t, so the result does not
     depend on t (up to rounding).  For N = 1 this reproduces v, w themselves.
     """
-    ps = ParameterSet(ev.params.energy, *ev.params.block(block))
-    bev = PotentialEvaluator(ps)
-    z = complex(xi) + velocity(ps.lambdas[0], ps.energy) * t
+    bev = ev._block_evaluator(block)
+    z = complex(xi) + velocity(bev.params.lambdas[0], bev.params.energy) * t
     v, w, *_ = _fields(bev, [z], [t])
     return float(v[0]), complex(w[0])

@@ -18,19 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ParameterSet, block_velocities, velocity
-from .potential import PotentialEvaluator, SpacetimePoint, _fields, _log_det_partials
+from .params import block_velocities, velocity
+from .potential import _KEY_V, _KEY_W, PotentialEvaluator, SpacetimePoint
+from .potential import _fields, _log_det_partials, _v_w
 
 # Derivative multisets of F entering the residuals (sorted keys).
-_K_V = ("z", "zbar")
-_K_W = ("z", "z")
 _K_TV = ("t", "z", "zbar")
 _K_ZV = ("z", "z", "zbar")
 _K_ZBV = ("z", "zbar", "zbar")
 _K_ZW = ("z", "z", "z")
 _K_Z3V_A = ("z", "z", "z", "z", "zbar")
 _K_Z3V_B = ("z", "zbar", "zbar", "zbar", "zbar")
-_RESIDUAL_KEYS = (_K_V, _K_W, _K_TV, _K_ZV, _K_ZBV, _K_ZW, _K_Z3V_A, _K_Z3V_B)
+_RESIDUAL_KEYS = (_KEY_V, _KEY_W, _K_TV, _K_ZV, _K_ZBV, _K_ZW, _K_Z3V_A, _K_Z3V_B)
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,8 @@ def sample_points(
 def _residuals(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, np.ndarray]:
     """(evolution, constraint) residual magnitudes at many points (z, t)."""
     der, _, _ = _log_det_partials(ev, z, t, _RESIDUAL_KEYS)
-    v = (-4.0 * der[_K_V]).real
-    w = 12.0 * der[_K_W]
+    g, w = _v_w(der)
+    v = g.real
     dt_v = (-4.0 * der[_K_TV]).real
     # d_z of v = Re(-4 F_z_zbar) by the Wirtinger rule; its conjugate-pair
     # structure makes the constraint residual a genuine reality check.
@@ -206,8 +205,7 @@ def asymptotic_error_sweep(
             "per axis holds no point"
         )
     # The block profile: the block's own 4x4 subblock of A, at t = 0.
-    block_ev = PotentialEvaluator(ParameterSet(ev.params.energy, *ev.params.block(block)))
-    nu, omega, *_ = _fields(block_ev, window, np.zeros(window.size))
+    nu, omega, *_ = _fields(ev._block_evaluator(block), window, np.zeros(window.size))
 
     # One batch, ordered as a point-by-point sweep would go (sign, time,
     # window point, co-moving before probe), so that the same point fails first.

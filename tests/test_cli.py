@@ -57,6 +57,20 @@ def test_validate_zero_lambda_exit_1(tmp_path, capsys):
     assert "zero within tolerance" in err
 
 
+def test_validate_nonfinite_energy_exit_1(tmp_path, capsys):
+    cfg = dict(N1_CONFIG, E=math.inf)  # written as the JSON extension Infinity
+    code, out, _ = run(capsys, "validate", write_config(tmp_path, cfg))
+    assert code == 1
+    assert out == "violation: energy E must be positive and finite\n"
+
+
+def test_validate_overflowing_seed_exit_1(tmp_path, capsys):
+    cfg = {"E": 1.0, "blocks": [{"lambda": [1e200, 0.0], "gamma": [1.0, 0.0]}]}
+    code, out, _ = run(capsys, "validate", write_config(tmp_path, cfg))
+    assert code == 1
+    assert out == "violation: parameters must be finite\n"
+
+
 def test_validate_malformed_json_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"E": 1.0, "blocks": [', encoding="utf-8")
@@ -227,6 +241,34 @@ def test_solve_velocity_bad_input_exit_2(capsys):
     assert run(capsys, "solve-velocity", "--E", "-1.0", "--c", "21,0")[0] == 2
 
 
+def test_solve_velocity_near_unit_modulus_exit_0(capsys):
+    lam = 1.00001 * complex(math.cos(0.1), math.sin(0.1))
+    c = gz.velocity(lam, 1.0)
+    code, out, _ = run(capsys, "solve-velocity", "--E", "1", f"--c={c.real!r},{c.imag!r}")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "ok"
+    lams = [complex(re, im) for re, im in payload["lambdas"]]
+    assert min(abs(l - lam) for l in lams) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--E", "1", "--c", "nan,0"),
+        ("--E", "nan", "--c", "21,0"),
+        ("--E", "inf", "--c", "1,0"),
+        ("--E", "1e-300", "--c", "1,0"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_solve_velocity_bad_input_exit_2_one_line(capsys, argv):
+    code, out, err = run(capsys, "solve-velocity", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- residual ----------------------------------------------------------------------
 
 
@@ -326,6 +368,27 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+def test_eval_huge_time_leaves_stderr_empty(tmp_path, capsys):
+    # |det A| exceeds the float range and is printed as inf, without a warning.
+    cfg = write_config(tmp_path, N1_CONFIG)
+    code, out, err = run(capsys, "eval", cfg, "--grid=-1:1:3,-1:1:3", "--t", "1e300")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1].endswith(",inf")
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_overflowing_matrix_exit_4_one_line(tmp_path, capsys):
+    # The diagonal of A overflows to inf; no numpy warning precedes the error.
+    cfg = write_config(tmp_path, N1_CONFIG)
+    code, out, err = run(capsys, "eval", cfg, "--grid=-1:1:3,-1:1:3", "--t", "1e308")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: evaluation failed at (x1=-1, x2=-1, t=1e+308)")
+    assert err.count("\n") == 1
 
 
 def test_eval_near_singular_exit_4_names_point(tmp_path, capsys, monkeypatch, near_singular_set):

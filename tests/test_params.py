@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gzpot as gz
 from gzpot.params import CONSTRAINT_RTOL
@@ -63,7 +65,22 @@ def test_expand_blocks_rejects_unit_modulus_and_zero():
         gz.expand_blocks(-1.0, [gz.BlockSeed(SQRT2, 1.0)])
 
 
+def test_expand_blocks_reports_overflowing_seed():
+    # conj(lambda)^2 conj(gamma) overflows; the set is refused, nothing raises.
+    with pytest.raises(gz.InvalidParameterSetError) as err:
+        gz.expand_blocks(1.0, [gz.BlockSeed(1e200, 1.0)])
+    assert err.value.report.violations == ("parameters must be finite",)
+    ps = gz.expand_blocks(1.0, [gz.BlockSeed(math.inf, 1.0)], check=False)
+    assert not gz.validate(ps).ok
+
+
 # -- validation reporting ------------------------------------------------------
+
+
+def test_validate_rejects_nonfinite_energy(n1_standard):
+    for e in (math.inf, math.nan):
+        report = gz.validate(gz.ParameterSet(e, n1_standard.lambdas, n1_standard.gammas))
+        assert report.violations == ("energy E must be positive and finite",)
 
 
 def test_validate_names_broken_gamma_pair(n1_standard):
@@ -207,6 +224,70 @@ def test_solve_velocity_inverse_roundtrip():
         assert got is not None
         expect = gz.canonical_lambda_order(lambda_family(lam))
         assert np.max(np.abs(got - expect)) < 1e-9
+
+
+def set_distance(got, lam):
+    """Largest distance from a member of lam's family to the nearest entry of got."""
+    return max(min(abs(m - g) for g in got) for m in lambda_family(lam))
+
+
+def test_solve_velocity_inverse_near_unit_modulus_roundtrip():
+    # |lambda| = 1 +- 1e-5 passes validate; s - 2 = (rho - 1/rho)^2 is 4e-10.
+    for rho in (1.0 + 1e-5, 1.0 / (1.0 + 1e-5)):
+        for k in range(24):
+            lam = rho * cmath.exp(1j * (math.pi * k / 12 + 0.1))
+            got = gz.solve_velocity_inverse(gz.velocity(lam, 1.0), 1.0)
+            assert got is not None
+            expect = gz.canonical_lambda_order(lambda_family(lam))
+            assert np.max(np.abs(got - expect)) <= 1e-9
+
+
+def test_seeds_near_cusp_directions_are_attainable():
+    # Along a cusp's axis (arg lambda = k pi/3) the velocity lies just beyond
+    # the cusp tip, where the forbidden region is thinnest.
+    for delta in (1e-5, 1e-3, 2e-3):
+        for rho in (1.0 + delta, 1.0 / (1.0 + delta)):
+            for k in range(6):
+                lam = rho * cmath.exp(1j * math.pi * k / 3)
+                c = gz.velocity(lam, 1.0)
+                assert not gz.forbidden_region_contains(c, 1.0)
+                got = gz.solve_velocity_inverse(c, 1.0)
+                assert abs(gz.velocity(got[0], 1.0) - c) <= 1e-12 * abs(c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rho=st.floats(1.0 + 2e-6, 10.0),
+    reciprocal=st.booleans(),
+    theta=st.floats(0.0, 2.0 * math.pi),
+    e=st.floats(0.2, 4.0),
+)
+def test_solve_velocity_inverse_roundtrip_property(rho, reciprocal, theta, e):
+    # c -> lambda -> c.  Near the cusp directions theta = k pi/3 the velocity
+    # map is degenerate at |lambda| -> 1, so there c fixes lambda only to about
+    # 1e-5; away from them the lambda round trip is checked above.
+    lam = (1.0 / rho if reciprocal else rho) * cmath.exp(1j * theta)
+    c = gz.velocity(lam, e)
+    got = gz.solve_velocity_inverse(c, e)
+    assert got is not None
+    assert abs(got[0]) > 1.0 and set_distance(got, got[0]) <= 1e-15 * abs(got[0])
+    assert abs(gz.velocity(got[0], e) - c) <= 1e-12 * abs(c)
+    if abs(rho - 1.0) > 0.05:
+        assert set_distance(got, lam) <= 1e-9 * rho
+
+
+def test_solve_velocity_inverse_on_the_boundary_never_misleads():
+    # Within rounding of the boundary the answer is "forbidden", an error,
+    # or a set that reproduces c; never a wrong set.
+    for phi in np.linspace(0.01, 2.0, 100):
+        for scale in (1.0, 1.0 + 2.2e-16, 1.0 + 4.4e-16, 1.0 + 1e-15):
+            c = 6.0 * (2.0 * cmath.exp(-1j * phi) + cmath.exp(2j * phi)) * scale
+            try:
+                got = gz.solve_velocity_inverse(c, 1.0)
+            except gz.VelocityInverseError:
+                continue
+            if got is not None:
+                assert abs(gz.velocity(got[0], 1.0) - c) <= 1e-12 * abs(c)
 
 
 def test_canonical_order_moduli_then_argument():
