@@ -160,7 +160,7 @@ def cmd_eval(args) -> int:
     z = np.empty(x1.size, dtype=complex)
     z.real, z.imag = x1, x2
     try:
-        v, w, absdet, _, _ = pot._fields(pot.PotentialEvaluator(ps), z, np.full(z.size, grid.t))
+        v, w, absdet, _, _ = pot.fields(pot.PotentialEvaluator(ps), z, np.full(z.size, grid.t))
     except pot.EvaluationError as exc:
         print(f"error: evaluation failed at {exc.point}: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC

@@ -105,8 +105,8 @@ class ValidationReport:
         return self.ok
 
 
-def _close(lhs: complex, rhs: complex, rtol: float = CONSTRAINT_RTOL) -> bool:
-    return abs(lhs - rhs) <= rtol * (1.0 + abs(rhs))
+def _close(lhs: complex, rhs: complex) -> bool:
+    return abs(lhs - rhs) <= CONSTRAINT_RTOL * (1.0 + abs(rhs))
 
 
 def expand_blocks(energy: float, seeds: Sequence[BlockSeed], check: bool = True) -> ParameterSet:
@@ -199,14 +199,18 @@ def velocity(lam: complex, energy: float) -> complex:
     """Travel-wave velocity of the one-block family containing lam.
 
     c = 6E (conj(lam)^2 + 1/lam^2 + lam^2/conj(lam)^2); the same value is
-    obtained from any of the four members lam, -lam, +/-1/conj(lam).
+    obtained from any of the four members lam, -lam, +/-1/conj(lam).  Raises
+    ValueError for lam = 0 and wherever c is not finite.
     """
     lam = complex(lam)
     if lam == 0:
         raise ValueError("velocity is undefined for lambda = 0")
-    l2 = lam * lam
-    lb2 = (lam.conjugate()) ** 2
-    return 6.0 * energy * (lb2 + 1.0 / l2 + l2 / lb2)
+    # Plain products of quotients of lam: no division by an underflowed square.
+    lam_bar, inv, turn = lam.conjugate(), 1.0 / lam, lam / lam.conjugate()
+    c = 6.0 * energy * (lam_bar * lam_bar + inv * inv + turn * turn)
+    if not cmath.isfinite(c):
+        raise ValueError(f"velocity is not finite for lambda = {lam}")
+    return c
 
 
 def block_velocities(p: ParameterSet) -> np.ndarray:

@@ -17,17 +17,19 @@ F = ln det A are therefore evaluated exactly by the trace calculus
     d_a F = tr(A^-1 D_a),     d_b (A^-1) = -A^-1 D_b A^-1,
 
 which expands any mixed partial into a signed sum of traces of alternating
-products A^-1 D_a1 A^-1 D_a2 ... (generated symbolically once per derivative
-multiset and cached).  v is real up to rounding; the imaginary part is kept
-as a diagnostic.
+products X D_a1 X D_a2 ..., X = A^-1, generated once per derivative multiset.
+v is real up to rounding; the imaginary part is kept as a diagnostic.
 
-Every evaluation goes through one batched kernel, _log_det_partials, which
-inverts A stacked over many points and contracts the traces.
+Every evaluation goes through one batched kernel, log_det_partials.  It
+inverts A stacked over many points and, as every D is diagonal, contracts each
+trace as tr(L D_a R D_b) = sum_ij (L o R^T)_ij b_i a_j, with L, R the
+sandwiches X D_d1 X ... D_dk X of its two halves.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -43,7 +45,8 @@ NEAR_SINGULAR_RCOND = 1e-12
 # Matrix entries per chunk of the batched kernel: bounds the stacked
 # (P, n, n) work arrays, so that peak memory does not grow with the number of
 # points, while a chunk still holds enough points to amortise each call.
-_CHUNK_ELEMENTS = 1 << 16
+CHUNK_ELEMENTS = 1 << 16
+_ALL_ONES = np.ones((1, 1, 1))  # the all-ones sandwich of the first order, broadcast
 
 
 class EvaluationError(Exception):
@@ -147,8 +150,8 @@ class PotentialEvaluator:
             arr.setflags(write=False)
         self._plans: dict = {}  # per key set; any two builds of a plan are equal
 
-    def _block_evaluator(self, k: int) -> "PotentialEvaluator":
-        """Evaluator of block k's own one-block set: the 4x4 diagonal subblock of A."""
+    def block_evaluator(self, k: int) -> "PotentialEvaluator":
+        """Evaluator of block k's own one-block set (1-based): A's 4x4 diagonal subblock."""
         return PotentialEvaluator(ParameterSet(self.params.energy, *self.params.block(k)))
 
     def direction_diagonal(self, direction: str) -> np.ndarray:
@@ -168,21 +171,21 @@ class PotentialEvaluator:
         return m
 
     def _plan(self, keys: tuple[tuple[str, ...], ...]):
-        """How _contract evaluates keys: the order-2 trace monomials folded
-        into conjugated weights (K, n * n), None if there are none, and every
-        other cycle as (key index, coefficient, left half, right half).
-        """
+        """How _contract evaluates keys: ((left, right), weights) per pair of
+        sandwiches S(d1..dk) = X D_d1 X ... D_dk X named by directions (None:
+        all ones), weights (K, n * n) the conjugated boundary diagonals."""
         if keys not in self._plans:
-            w2, rest = np.zeros((len(keys), self.size**2), dtype=complex), []
+            pairs = defaultdict(lambda: np.zeros((len(keys), self.size**2), complex))
             for k, key in enumerate(keys):
                 for cycle, coeff in _trace_terms(key):
-                    if len(cycle) == 2:
-                        outer = np.multiply.outer(self._diag[cycle[0]], self._diag[cycle[1]])
-                        w2[k] += coeff * outer.ravel().conj()
-                    else:
-                        half = len(cycle) // 2
-                        rest.append((k, coeff, cycle[:half], cycle[half:]))
-            self._plans[keys] = (w2 if w2.any() else None, tuple(rest))
+                    # Cycles start at their least rotation, so left <= right: one order per pair.
+                    if h := len(cycle) // 2:  # tr(L Da R Db) = sum_ij (L o R^T)_ij b_i a_j
+                        left, a, right, b = cycle[: h - 1], cycle[h - 1], cycle[h:-1], cycle[-1]
+                        pair, w = (left, right), np.multiply.outer(self._diag[b], self._diag[a])
+                    else:  # tr(X Da) = sum_ij (X o 1)_ij diag(a)_ij
+                        pair, w = ((), None), np.diag(self._diag[cycle[0]])
+                    pairs[pair][k] += coeff * w.ravel().conj()
+            self._plans[keys] = tuple(pairs.items())
         return self._plans[keys]
 
 
@@ -230,34 +233,25 @@ def _contract(
     ev: PotentialEvaluator, ainv: np.ndarray, keys: tuple[tuple[str, ...], ...]
 ) -> np.ndarray:
     """Trace sums (P, K) of the K keys against the stacked inverses ainv (P, n, n)."""
-    w2, rest = ev._plan(keys)
     p, n, _ = ainv.shape
+    sandwiches = {(): ainv, None: _ALL_ONES}
+
+    def sandwich(dirs: tuple[str, ...]) -> np.ndarray:
+        # S(d1..dk) = S(d1..dk-1) D_dk X: one stacked product per new prefix.
+        if dirs not in sandwiches:
+            sandwiches[dirs] = (sandwich(dirs[:-1]) * ev.direction_diagonal(dirs[-1])) @ ainv
+        return sandwiches[dirs]
+
     out = np.zeros((p, len(keys)), dtype=complex)
-    if w2 is not None:
-        # tr(X Da X Db) = sum_ij (X o X^T)_ij a_i b_j: no matrix product.
-        # vecdot conjugates its first argument, the weights, back.
-        out += np.vecdot(w2, (ainv * ainv.transpose(0, 2, 1)).reshape(p, 1, n * n))
-    chains: dict[tuple[str, ...], np.ndarray] = {}
-
-    def chain(dirs: tuple[str, ...]) -> np.ndarray:
-        # (A^-1 D_d1)(A^-1 D_d2)...; shared prefixes are built once.
-        if dirs not in chains:
-            if len(dirs) == 1:
-                chains[dirs] = ainv * ev.direction_diagonal(dirs[0])  # scales columns
-            else:
-                chains[dirs] = chain(dirs[:-1]) @ chain(dirs[-1:])
-        return chains[dirs]
-
-    for k, coeff, left, right in rest:
-        if left:
-            out[:, k] += coeff * np.einsum("pij,pji->p", chain(left), chain(right))
-        else:  # first order
-            out[:, k] += coeff * np.einsum("pii->p", chain(right))
+    for (left, right), weights in ev._plan(keys):
+        # One Hadamard product per pair; vecdot conjugates the weights back.
+        h = sandwich(left) * sandwich(right).transpose(0, 2, 1)
+        out += np.vecdot(weights, h.reshape(p, 1, n * n))
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow: inf |det A| or a NaN cond
-def _log_det_partials(
+def log_det_partials(
     ev: PotentialEvaluator, z, t, keys: tuple[tuple[str, ...], ...]
 ) -> tuple[dict[tuple[str, ...], np.ndarray], np.ndarray, np.ndarray]:
     """Mixed partials of ln det A at many points (z_p, conj(z_p), t_p).
@@ -265,7 +259,7 @@ def _log_det_partials(
     z and t are equal-length sequences; keys is a tuple of sorted derivative
     multisets.  Returns the partials per key, |det A| and the exact 1-norm
     condition number ||A||_1 ||A^-1||_1, each of shape (P,).  The points are
-    processed in chunks of _CHUNK_ELEMENTS matrix entries, and the first point
+    processed in chunks of CHUNK_ELEMENTS matrix entries, and the first point
     in input order whose matrix is singular or near-singular raises.
     """
     z = np.asarray(z, dtype=complex).ravel()
@@ -274,7 +268,7 @@ def _log_det_partials(
         raise ValueError("no points to evaluate")
     if not (np.isfinite(z).all() and np.isfinite(t).all()):
         raise ValueError("spacetime coordinates must be finite")
-    step = max(1, _CHUNK_ELEMENTS // ev.size**2)
+    step = max(1, CHUNK_ELEMENTS // ev.size**2)
     parts = []
     for lo in range(0, z.size, step):
         a = ev.matrices(z[lo : lo + step], t[lo : lo + step])
@@ -306,22 +300,24 @@ def log_det_derivative(
     not depend on its ordering.
     """
     key = tuple(sorted(_check_index(idx)))
-    return complex(_log_det_partials(ev, [point.z], [point.t], (key,))[0][key][0])
+    return complex(log_det_partials(ev, [point.z], [point.t], (key,))[0][key][0])
 
 
-_KEY_V = ("z", "zbar")
-_KEY_W = ("z", "z")
+# The derivative multisets of F = ln det A that v and w are made of.
+KEY_V = ("z", "zbar")
+KEY_W = ("z", "z")
 
 
-def _v_w(der: dict) -> tuple[np.ndarray, np.ndarray]:
-    """-4 F_z_zbar, whose real part is v, and w = 12 F_zz from partials of F."""
-    return -4.0 * der[_KEY_V], 12.0 * der[_KEY_W]
+def v_w(der: dict) -> tuple[np.ndarray, np.ndarray]:
+    """-4 F_z_zbar, whose real part is v, and w = 12 F_zz from log_det_partials."""
+    return -4.0 * der[KEY_V], 12.0 * der[KEY_W]
 
 
-def _fields(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, ...]:
-    """(v, w, |det A|, condition number, Im of the v expression) at many points."""
-    der, absdet, cond = _log_det_partials(ev, z, t, (_KEY_V, _KEY_W))
-    g, w = _v_w(der)
+def fields(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, ...]:
+    """Batched eval_fields: arrays of v, w, |det A|, condition number and the
+    imaginary part of the v expression at the points of log_det_partials."""
+    der, absdet, cond = log_det_partials(ev, z, t, (KEY_V, KEY_W))
+    g, w = v_w(der)
     return g.real, w, absdet, cond, g.imag
 
 
@@ -331,7 +327,7 @@ def eval_fields(ev: PotentialEvaluator, point: SpacetimePoint) -> FieldSample:
     v = Re(-4 F_z_zbar), w = 12 F_zz for F = ln det A; the imaginary part of
     the v expression is reported in the sample as a reality diagnostic.
     """
-    return FieldSample(*(a.item(0) for a in _fields(ev, [point.z], [point.t])))
+    return FieldSample(*(a.item(0) for a in fields(ev, [point.z], [point.t])))
 
 
 def linear_system_fields(
@@ -370,7 +366,7 @@ def soliton_profile(
     block depends on (z, t) only through z - c_k t, so the result does not
     depend on t (up to rounding).  For N = 1 this reproduces v, w themselves.
     """
-    bev = ev._block_evaluator(block)
+    bev = ev.block_evaluator(block)
     z = complex(xi) + velocity(bev.params.lambdas[0], bev.params.energy) * t
-    v, w, *_ = _fields(bev, [z], [t])
+    v, w, *_ = fields(bev, [z], [t])
     return float(v[0]), complex(w[0])

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import block_velocities, velocity
-from .potential import _KEY_V, _KEY_W, PotentialEvaluator, SpacetimePoint
-from .potential import _fields, _log_det_partials, _v_w
+from .potential import KEY_V, KEY_W, PotentialEvaluator, SpacetimePoint
+from .potential import fields, log_det_partials, v_w
 
 # Derivative multisets of F entering the residuals (sorted keys).
 _K_TV = ("t", "z", "zbar")
@@ -29,7 +29,9 @@ _K_ZBV = ("z", "zbar", "zbar")
 _K_ZW = ("z", "z", "z")
 _K_Z3V_A = ("z", "z", "z", "z", "zbar")
 _K_Z3V_B = ("z", "zbar", "zbar", "zbar", "zbar")
-_RESIDUAL_KEYS = (_KEY_V, _KEY_W, _K_TV, _K_ZV, _K_ZBV, _K_ZW, _K_Z3V_A, _K_Z3V_B)
+_RESIDUAL_KEYS = (KEY_V, KEY_W, _K_TV, _K_ZV, _K_ZBV, _K_ZW, _K_Z3V_A, _K_Z3V_B)
+SAMPLE_RADIUS = 5.0  # sample_points: |x| <= SAMPLE_RADIUS, |t| <= SAMPLE_T_RANGE
+SAMPLE_T_RANGE = 2.0
 
 
 @dataclass(frozen=True)
@@ -92,14 +94,12 @@ class AsymptoticsReport:
         }
 
 
-def sample_points(
-    n: int, seed: int, radius: float = 5.0, t_range: float = 2.0
-) -> list[SpacetimePoint]:
-    """n points uniform on the disc |x| <= radius times uniform t in [-t_range, t_range]."""
+def sample_points(n: int, seed: int) -> list[SpacetimePoint]:
+    """n points uniform on the disc |x| <= SAMPLE_RADIUS, t uniform in +-SAMPLE_T_RANGE."""
     rng = np.random.default_rng(seed)
-    r = radius * np.sqrt(rng.uniform(size=n))
+    r = SAMPLE_RADIUS * np.sqrt(rng.uniform(size=n))
     ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    t = rng.uniform(-t_range, t_range, size=n)
+    t = rng.uniform(-SAMPLE_T_RANGE, SAMPLE_T_RANGE, size=n)
     return [
         SpacetimePoint(ri * math.cos(ai), ri * math.sin(ai), ti)
         for ri, ai, ti in zip(r, ang, t)
@@ -108,8 +108,8 @@ def sample_points(
 
 def _residuals(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, np.ndarray]:
     """(evolution, constraint) residual magnitudes at many points (z, t)."""
-    der, _, _ = _log_det_partials(ev, z, t, _RESIDUAL_KEYS)
-    g, w = _v_w(der)
+    der, _, _ = log_det_partials(ev, z, t, _RESIDUAL_KEYS)
+    g, w = v_w(der)
     v = g.real
     dt_v = (-4.0 * der[_K_TV]).real
     # d_z of v = Re(-4 F_z_zbar) by the Wirtinger rule; its conjugate-pair
@@ -149,15 +149,15 @@ def travel_wave_error(
 ) -> float:
     """Max of |v(z + c dt, t + dt) - v(z, t)| over the points.
 
-    c is the velocity of the chosen block.  Zero up to rounding iff the
-    potential is a travel wave, which happens exactly for N = 1; for N > 1
+    c is the velocity of the chosen block, 1-based.  Zero up to rounding iff
+    the potential is a travel wave, which happens exactly for N = 1; for N > 1
     the error is genuinely nonzero for every candidate block velocity.
     """
-    c = velocity(ev.params.lambdas[4 * (block - 1)], ev.params.energy)
+    c = velocity(ev.params.block(block)[0][0], ev.params.energy)
     z = np.array([p.z for p in points])
     t = np.array([p.t for p in points])
-    shifted = _fields(ev, z + c * dt, t + dt)[0]
-    return float(np.abs(shifted - _fields(ev, z, t)[0]).max())
+    shifted = fields(ev, z + c * dt, t + dt)[0]
+    return float(np.abs(shifted - fields(ev, z, t)[0]).max())
 
 
 def _window_grid(radius: float, n: int) -> np.ndarray:
@@ -205,13 +205,13 @@ def asymptotic_error_sweep(
             "per axis holds no point"
         )
     # The block profile: the block's own 4x4 subblock of A, at t = 0.
-    nu, omega, *_ = _fields(ev._block_evaluator(block), window, np.zeros(window.size))
+    nu, omega, *_ = fields(ev.block_evaluator(block), window, np.zeros(window.size))
 
     # One batch, ordered as a point-by-point sweep would go (sign, time,
     # window point, co-moving before probe), so that the same point fails first.
     tt = np.multiply.outer((1.0, -1.0), times)[:, :, None, None]
     z = window[:, None] + np.array([c, probe_velocity]) * tt
-    v, w, *_ = _fields(ev, z, np.broadcast_to(tt, z.shape))
+    v, w, *_ = fields(ev, z, np.broadcast_to(tt, z.shape))
     v, w = v.reshape(z.shape), w.reshape(z.shape)
     tables = [
         AsymptoticsTable(

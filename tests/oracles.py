@@ -61,6 +61,29 @@ def trace_fields(ps, zv, t):
     return v, w, abs(np.linalg.det(a))
 
 
+def word_logdet_derivative(ps, zv, t, idx):
+    """Mixed partial of ln det A by the trace calculus in its plainest form.
+
+    A word (d1, ..., dk) stands for tr(X D_d1 X D_d2 ... X D_dk), X = A^-1.
+    d_a ln det A is the word (a); differentiating in b replaces each X of a
+    word in turn by -X D_b X, that is inserts b before each letter.  Words are
+    kept one by one, with no cycle canonicalisation, and each is evaluated as
+    a full product of the loop-form matrix's inverse and the diagonals.
+    """
+    words = [(1, (idx[0],))]
+    for b in idx[1:]:
+        words = [(-sign, w[:i] + (b,) + w[i:]) for sign, w in words for i in range(len(w))]
+    ainv = np.linalg.inv(oracle_matrix(ps, zv, zv.conjugate(), t))
+    factors = {d: ainv @ np.diag(diag) for d, diag in direction_diagonals(ps).items()}
+    total = 0j
+    for sign, w in words:
+        prod = np.eye(ainv.shape[0], dtype=complex)
+        for d in w:
+            prod = prod @ factors[d]
+        total += sign * np.trace(prod)
+    return total
+
+
 def _logdet_ratio(ps, p1, p2):
     # log(det A(p1) / det A(p2)) without branch trouble: the points are close,
     # so the sign ratio stays away from the cut.

@@ -133,6 +133,13 @@ def test_velocity_zero_rejected():
         gz.velocity(0.0, 1.0)
 
 
+@pytest.mark.parametrize("lam", [1e200, 1e-200, 1e-160])
+def test_velocity_nonfinite_raises_value_error(lam):
+    # Overflow, an underflowed lambda^2 and a silent inf+nanj before.
+    with pytest.raises(ValueError, match="lambda"):
+        gz.velocity(lam, 1.0)
+
+
 def test_velocity_family_invariance():
     rng = np.random.default_rng(3)
     for _ in range(200):

@@ -1,14 +1,22 @@
+import ast
 import cmath
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gzpot as gz
-from gzpot.potential import _CHUNK_ELEMENTS, NEAR_SINGULAR_RCOND, _fields, _log_det_partials
+from gzpot.potential import CHUNK_ELEMENTS, NEAR_SINGULAR_RCOND, fields, log_det_partials
 
-from oracles import fd_logdet_derivative, fd_steps, oracle_matrix, trace_fields
+from oracles import (
+    fd_logdet_derivative,
+    fd_steps,
+    oracle_matrix,
+    trace_fields,
+    word_logdet_derivative,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -92,17 +100,17 @@ def _points(n, seed):
 def test_batched_kernel_matches_oracle_and_single_points(fixture, request):
     ps = request.getfixturevalue(fixture)
     ev = gz.PotentialEvaluator(ps)
-    chunk = _CHUNK_ELEMENTS // ev.size**2
+    chunk = CHUNK_ELEMENTS // ev.size**2
     for count in (1, chunk, chunk + 1):
         z, t = _points(count, seed=count)
-        v, w, absdet, cond, v_imag = _fields(ev, z, t)
+        v, w, absdet, cond, v_imag = fields(ev, z, t)
         for i in range(count):
             v_ref, w_ref, det_ref = trace_fields(ps, z[i], t[i])
             assert abs(v[i] - v_ref) <= 1e-12 * (1.0 + abs(v_ref))
             assert abs(w[i] - w_ref) <= 1e-12 * (1.0 + abs(w_ref))
             assert abs(absdet[i] - det_ref) <= 1e-12 * det_ref
         assert np.all(cond >= 1.0) and np.all(np.abs(v_imag) <= 1e-9 * (1.0 + np.abs(v)))
-        der, _, _ = _log_det_partials(ev, z, t, KERNEL_KEYS)
+        der, _, _ = log_det_partials(ev, z, t, KERNEL_KEYS)
         # The first and last point of each chunk, and one inside.
         for i in sorted({0, count // 2, min(chunk, count) - 1, count - 1}):
             pt = gz.SpacetimePoint.from_z(z[i], t[i])
@@ -113,15 +121,15 @@ def test_batched_kernel_matches_oracle_and_single_points(fixture, request):
 
 def test_batch_raises_at_first_near_singular_point(near_singular_set):
     ev = gz.PotentialEvaluator(near_singular_set)
-    chunk = _CHUNK_ELEMENTS // ev.size**2
+    chunk = CHUNK_ELEMENTS // ev.size**2
     z, t = _points(chunk + 10, seed=3)
     # Both bad points lie in the second chunk; the earlier one must be named.
     first, second = chunk + 4, chunk + 7
     z[first], t[first] = 2e-15, 0.0
     z[second], t[second] = 0.0, 0.0
-    _fields(ev, z[:first], t[:first])  # everything before it is well conditioned
+    fields(ev, z[:first], t[:first])  # everything before it is well conditioned
     with pytest.raises(gz.NearSingularError) as err:
-        _fields(ev, z, t)
+        fields(ev, z, t)
     assert err.value.point == gz.SpacetimePoint(2e-15, 0.0, 0.0)
     assert err.value.rcond < NEAR_SINGULAR_RCOND
 
@@ -138,7 +146,7 @@ def test_exactly_singular_matrix_raises(n1_standard, monkeypatch):
 
     monkeypatch.setattr(ev, "matrices", singular_at_second_point)
     with pytest.raises(gz.EvaluationError) as err:
-        _fields(ev, z, t)
+        fields(ev, z, t)
     assert isinstance(err.value, gz.SingularMatrixError)
     assert err.value.point == gz.SpacetimePoint.from_z(z[1], t[1])
 
@@ -156,18 +164,18 @@ def test_near_singular_point_before_a_singular_one_raises_first(near_singular_se
 
     monkeypatch.setattr(ev, "matrices", singular_at_fifth_point)
     with pytest.raises(gz.NearSingularError) as err:
-        _fields(ev, z, t)
+        fields(ev, z, t)
     assert err.value.point == gz.SpacetimePoint(0.0, 0.0, 0.0)
 
 
 def test_kernel_rejects_nonfinite_and_empty_input(n1_standard):
     ev = gz.PotentialEvaluator(n1_standard)
     with pytest.raises(ValueError):
-        _fields(ev, [0.5, complex(math.nan, 0.0)], [0.0, 0.0])
+        fields(ev, [0.5, complex(math.nan, 0.0)], [0.0, 0.0])
     with pytest.raises(ValueError):
-        _fields(ev, [0.5], [math.inf])
+        fields(ev, [0.5], [math.inf])
     with pytest.raises(ValueError):
-        _fields(ev, [], [])
+        fields(ev, [], [])
 
 
 # -- derivative engine ---------------------------------------------------------
@@ -213,6 +221,27 @@ def test_derivatives_match_finite_differences(n2_standard):
             exact = gz.log_det_derivative(ev, pt, idx)
             approx = fd_logdet_derivative(n2_standard, pt, idx, hs)
             assert abs(exact - approx) <= 1e-6 * (1.0 + abs(exact)), idx
+
+
+ALL_KEYS = tuple(
+    key
+    for k in range(1, 6)
+    for key in itertools.combinations_with_replacement(("t", "z", "zbar"), k)
+)
+
+
+@pytest.mark.parametrize("fixture", ["n1_standard", "n2_standard"])
+def test_every_partial_matches_word_expansion(fixture, request):
+    # All 55 multisets of orders 1-5 in one batch, against the oracle that
+    # expands each partial into its uncollected words.
+    assert len(ALL_KEYS) == 55
+    ps = request.getfixturevalue(fixture)
+    z, t = _points(4, seed=55)
+    der, _, _ = log_det_partials(gz.PotentialEvaluator(ps), z, t, ALL_KEYS)
+    for i in range(z.size):
+        for key in ALL_KEYS:
+            ref = word_logdet_derivative(ps, z[i], t[i], key)
+            assert abs(der[key][i] - ref) <= 1e-12 * abs(ref), (i, key)
 
 
 def test_high_order_derivatives_match_finite_differences(n2_standard):
@@ -325,3 +354,23 @@ def test_profile_block_range(n2_standard):
         gz.soliton_profile(ev, 0, 0j)
     with pytest.raises(ValueError):
         gz.soliton_profile(ev, 3, 0j)
+
+
+# -- module boundaries ---------------------------------------------------------
+
+
+def test_no_private_potential_name_used_outside_potential():
+    # Modules reach potential only through names without a leading underscore.
+    here = Path(__file__).parent
+    sources = (Path(gz.__file__).parent, here, here.parent / "perfbench")
+    for path in (p for d in sources for p in d.glob("*.py")):
+        if path.name == "potential.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("potential"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "pot":
+                names = [node.attr]
+            else:
+                continue
+            assert not any(name.startswith("_") for name in names), (path.name, names)

@@ -92,6 +92,14 @@ def test_travel_wave_fails_for_two_blocks(n2_standard):
         assert gz.travel_wave_error(ev, 1.0, points, block=block) > 1e-3
 
 
+def test_travel_wave_rejects_out_of_range_block(n2_standard):
+    ev = gz.PotentialEvaluator(n2_standard)
+    points = gz.sample_points(5, seed=3)
+    for block in (0, 3):
+        with pytest.raises(ValueError, match="block index"):
+            gz.travel_wave_error(ev, 1.0, points, block=block)
+
+
 # -- translation covariance ------------------------------------------------------
 
 
