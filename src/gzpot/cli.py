@@ -1,8 +1,16 @@
 """Command-line front end.
 
 Subcommands: validate, eval, velocity, solve-velocity, residual, asymptotics.
-Exit codes: 0 success, 1 validation failure, 2 parse error, 3 velocity within
-rounding of the forbidden boundary, 4 evaluation diagnostic.
+Each command loads, calls the library and writes; it raises on failure, and
+main alone maps the exception to the exit code and one stderr line:
+
+    1  InvalidParameterSetError   "invalid: <msg>", one line per violation
+    2  ValueError, OSError        "error: <msg>"  (parse error, bad input)
+    3  VelocityInverseError       "error: <msg>"  (c within rounding of the
+                                  forbidden boundary)
+    4  EvaluationError            "error: evaluation failed at <point>: <msg>"
+
+Exit code 0 is success; validate reports violations on stdout and exits 1.
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,47 +36,26 @@ EXIT_DIAGNOSTIC = 4
 VELOCITY_SPREAD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular evaluation grid (endpoints included) at one time."""
-
-    x1_min: float
-    x1_max: float
-    n1: int
-    x2_min: float
-    x2_max: float
-    n2: int
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.n1 < 2 or self.n2 < 2:
-            raise ValueError("grid counts must be >= 2")
-        spans = (self.x1_max - self.x1_min, self.x2_max - self.x2_min)
-        if not all(math.isfinite(s) for s in spans):
-            raise ValueError("grid ranges must be finite")
-        if not (self.x1_min < self.x1_max and self.x2_min < self.x2_max):
-            raise ValueError("grid ranges must satisfy min < max")
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.linspace(self.x1_min, self.x1_max, self.n1),
-            np.linspace(self.x2_min, self.x2_max, self.n2),
-        )
-
-
-def parse_grid(text: str, t: float) -> GridSpec:
-    """Parse "x1min:x1max:n1,x2min:x2max:n2"."""
+def parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse "x1min:x1max:n1,x2min:x2max:n2" into the two axes, endpoints included."""
     try:
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError
         (a0, a1, an), (b0, b1, bn) = (p.split(":") for p in parts)
-        return GridSpec(float(a0), float(a1), int(an), float(b0), float(b1), int(bn), t)
+        axes = (float(a0), float(a1), int(an)), (float(b0), float(b1), int(bn))
+        if any(n < 2 for _, _, n in axes):
+            raise ValueError("grid counts must be >= 2")
+        if not all(math.isfinite(hi - lo) for lo, hi, _ in axes):
+            raise ValueError("grid ranges must be finite")
+        if not all(lo < hi for lo, hi, _ in axes):
+            raise ValueError("grid ranges must satisfy min < max")
     except ValueError as exc:
         detail = f": {exc}" if str(exc) else ""
         raise ValueError(
             f"invalid grid spec {text!r}, expected x1min:x1max:n1,x2min:x2max:n2{detail}"
         ) from None
+    return np.linspace(*axes[0]), np.linspace(*axes[1])
 
 
 def parse_complex_pair(text: str) -> complex:
@@ -80,62 +66,63 @@ def parse_complex_pair(text: str) -> complex:
     return complex(float(parts[0]), float(parts[1]))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _pair(flag: str, text: str) -> complex:
+    """parse_complex_pair(text), with the flag named in front of its ValueError."""
+    try:
+        return parse_complex_pair(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
-def _dump_json(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _times(text: str) -> list[float]:
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--times: expected comma-separated numbers, got {text!r}") from None
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _load(path: str) -> tuple[par.ParameterSet | None, int]:
-    """Read and schema-check a config; on failure print why and return the exit code."""
+def _load(path: str) -> par.ParameterSet:
+    """Read and schema-check a config; read, JSON and schema errors name the path."""
     try:
-        ps = par.load_parameter_set(path)
+        return par.load_parameter_set(path)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None, EXIT_PARSE
+        raise OSError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        print(
-            f"error: {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return None, EXIT_PARSE
-    except par.InvalidParameterSetError as exc:
+        raise ValueError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except par.InvalidParameterSetError:
         # A seed the expansion cannot even derive from (zero lambda) is a
         # constraint violation, not a file problem.
-        for msg in exc.report.violations:
-            print(f"invalid: {msg}", file=sys.stderr)
-        return None, EXIT_VALIDATION
+        raise
     except ValueError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, EXIT_PARSE
-    return ps, EXIT_OK
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_validated(path: str) -> tuple[par.ParameterSet | None, int]:
-    ps, code = _load(path)
-    if ps is None:
-        return None, code
+def _load_validated(path: str) -> par.ParameterSet:
+    ps = _load(path)
     report = par.validate(ps)
     if not report.ok:
-        for msg in report.violations:
-            print(f"invalid: {msg}", file=sys.stderr)
-        return None, EXIT_VALIDATION
-    return ps, EXIT_OK
+        raise par.InvalidParameterSetError(report)
+    return ps
 
 
 def cmd_validate(args) -> int:
-    ps, code = _load(args.config)
-    if ps is None:
-        return code
+    ps = _load(args.config)
     report = par.validate(ps)
     if report.ok:
-        print(f"ok: {ps.n_blocks} block(s), E = {_fmt(ps.energy)}")
+        print(f"ok: {ps.n_blocks} block(s), E = {ps.energy:.17g}")
         return EXIT_OK
     for msg in report.violations:
         print(f"violation: {msg}")
@@ -143,136 +130,67 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ps, code = _load_validated(args.config)
-    if ps is None:
-        return code
+    ps = _load_validated(args.config)
     if not math.isfinite(args.t):
-        print(f"error: --t must be finite, got {args.t!r}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        grid = parse_grid(args.grid, args.t)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    x1s, x2s = grid.axes()
+        raise ValueError(f"--t must be finite, got {args.t!r}")
+    x1s, x2s = parse_grid(args.grid)
     x1 = np.repeat(x1s, x2s.size)
     x2 = np.tile(x2s, x1s.size)
     z = np.empty(x1.size, dtype=complex)
     z.real, z.imag = x1, x2
-    try:
-        v, w, absdet, _, _ = pot.fields(pot.PotentialEvaluator(ps), z, np.full(z.size, grid.t))
-    except pot.EvaluationError as exc:
-        print(f"error: evaluation failed at {exc.point}: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
+    v, w, absdet, _, _ = pot.fields(pot.PotentialEvaluator(ps), z, np.full(z.size, args.t))
     row = ",".join(["{:.17g}"] * 6).format
     columns = (x1, x2, v, w.real, w.imag, absdet)
     lines = ["x1,x2,v,w_re,w_im,absdet"]
     lines.extend(row(*vals) for vals in zip(*(col.tolist() for col in columns)))
-    text = "\n".join(lines) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_velocity(args) -> int:
-    ps, code = _load_validated(args.config)
-    if ps is None:
-        return code
+    ps = _load_validated(args.config)
     spread = par.velocity_spread(ps)
     if spread > VELOCITY_SPREAD_TOL:
-        print(
-            f"internal error: within-block velocity mismatch {spread:.3e} "
-            f"exceeds {VELOCITY_SPREAD_TOL:g}",
-            file=sys.stderr,
-        )
+        msg = f"within-block velocity mismatch {spread:.3e} exceeds {VELOCITY_SPREAD_TOL:g}"
+        print(f"internal error: {msg}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     cs = par.block_velocities(ps)
-    _dump_json([[c.real + 0.0, c.imag + 0.0] for c in cs], None)
+    _write(_json([[c.real + 0.0, c.imag + 0.0] for c in cs]), None)
     return EXIT_OK
 
 
 def cmd_solve_velocity(args) -> int:
-    try:
-        c = parse_complex_pair(args.c)
-    except ValueError as exc:
-        print(f"error: --c: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        lams = par.solve_velocity_inverse(c, args.E)
-    except ValueError as exc:  # E not positive and finite, c not finite, overflow
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except par.VelocityInverseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
+    c = _pair("--c", args.c)
+    lams = par.solve_velocity_inverse(c, args.E)
     if lams is None:
-        payload = {
-            "status": "forbidden",
-            "bound": par.forbidden_region_bound(c, args.E),
-            "abs_c": abs(c),
-        }
+        bound = par.forbidden_region_bound(c, args.E)
+        payload = {"status": "forbidden", "bound": bound, "abs_c": abs(c)}
     else:
         payload = {"status": "ok", "lambdas": [[l.real + 0.0, l.imag + 0.0] for l in lams]}
-    _dump_json(payload, None)
+    _write(_json(payload), None)
     return EXIT_OK
 
 
 def cmd_residual(args) -> int:
-    ps, code = _load_validated(args.config)
-    if ps is None:
-        return code
+    ps = _load_validated(args.config)
     if args.points < 1:
-        print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     if args.seed < 0:
-        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     ev = pot.PotentialEvaluator(ps)
     points = ver.sample_points(args.points, args.seed)
-    try:
-        report = ver.nv_residual(ev, points, seed=args.seed)
-    except pot.EvaluationError as exc:
-        print(f"error: evaluation diagnostic: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
-    _dump_json(report.to_json_dict(), None)
+    report = ver.nv_residual(ev, points, seed=args.seed)
+    _write(_json(report.to_json_dict()), None)
     return EXIT_OK
 
 
 def cmd_asymptotics(args) -> int:
-    ps, code = _load_validated(args.config)
-    if ps is None:
-        return code
+    ps = _load_validated(args.config)
     ev = pot.PotentialEvaluator(ps)
-    try:
-        times = [float(t) for t in args.times.split(",")]
-    except ValueError:
-        print(f"error: --times: expected comma-separated numbers, got {args.times!r}", file=sys.stderr)
-        return EXIT_PARSE
-    probe = 0j
-    if args.probe is not None:
-        try:
-            probe = parse_complex_pair(args.probe)
-        except ValueError as exc:
-            print(f"error: --probe: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    try:
-        report = ver.asymptotic_error_sweep(
-            ev,
-            args.block,
-            times,
-            window_radius=args.window,
-            window_points=args.window_points,
-            probe_velocity=probe,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except pot.EvaluationError as exc:
-        print(f"error: evaluation diagnostic: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
-    _dump_json(report.to_json_dict(), args.out)
+    times = _times(args.times)
+    probe = 0j if args.probe is None else _pair("--probe", args.probe)
+    report = ver.asymptotic_error_sweep(ev, args.block, times, args.window, args.window_points, probe)
+    _write(_json(report.to_json_dict()), args.out)
     return EXIT_OK
 
 
@@ -323,8 +241,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and map its failure to the exit code (see the module docstring)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except par.InvalidParameterSetError as exc:  # a ValueError: before that clause
+        for msg in exc.report.violations:
+            print(f"invalid: {msg}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except pot.EvaluationError as exc:
+        print(f"error: evaluation failed at {exc.point}: {exc}", file=sys.stderr)
+        return EXIT_DIAGNOSTIC
+    except par.VelocityInverseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BOUNDARY
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

@@ -343,6 +343,23 @@ def canonical_lambda_order(lams: Sequence[complex]) -> np.ndarray:
     return np.array(sorted((complex(l) for l in lams), key=key), dtype=complex)
 
 
+def diagonal_coefficients(p: ParameterSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients dz, dzbar, dt of z, zbar and t in the potential matrix diagonal.
+
+    A_ll = dz_l z + dzbar_l zbar + dt_l t - gamma_l with dz = -i sqrt(E)/(2 lambda^2),
+    dzbar = i sqrt(E)/2 and dt = -3 i E^(3/2) (lambda^2 - 1/lambda^4); they are
+    also the diagonals of the direction matrices dA/dz, dA/dzbar and dA/dt.
+    """
+    sqrt_e = math.sqrt(p.energy)
+    lam2 = p.lambdas * p.lambdas
+    inv_lam2 = 1.0 / lam2
+    return (
+        -0.5j * sqrt_e * inv_lam2,
+        np.full(lam2.size, 0.5j * sqrt_e),
+        -3j * p.energy * sqrt_e * (lam2 - inv_lam2**2),
+    )
+
+
 def translate_gammas(p: ParameterSet, zeta: complex, tau: float) -> ParameterSet:
     """Parameter shift realizing the translation (z, t) -> (z + zeta, t + tau).
 
@@ -351,18 +368,15 @@ def translate_gammas(p: ParameterSet, zeta: complex, tau: float) -> ParameterSet
         delta_j = (i sqrt(E)/2)(conj(zeta) - zeta/lambda_j^2)
                   - 3 i E^(3/2) tau (lambda_j^2 - 1/lambda_j^4),
 
-    absorbing the shift of the potential matrix diagonal, so the shifted
-    fields satisfy v~(z, t) = v(z + zeta, t + tau) and likewise for w.  The
-    block constraints are preserved exactly: delta is even in lambda and
+    the shift dz zeta + dzbar conj(zeta) + dt tau of the potential matrix
+    diagonal (diagonal_coefficients), so the shifted fields satisfy
+    v~(z, t) = v(z + zeta, t + tau) and likewise for w.  The block constraints
+    are preserved exactly: delta is even in lambda and
     delta(1/conj(lambda)) = conj(lambda)^2 conj(delta(lambda)).
     """
-    lam = p.lambdas
-    sqrt_e = math.sqrt(p.energy)
-    lam2 = lam * lam
-    delta = 0.5j * sqrt_e * (np.conj(zeta) - zeta / lam2) - 3j * p.energy * sqrt_e * tau * (
-        lam2 - 1.0 / lam2**2
-    )
-    return ParameterSet(p.energy, lam, p.gammas - delta)
+    dz, dzbar, dt = diagonal_coefficients(p)
+    delta = dz * zeta + dzbar * np.conj(zeta) + dt * tau
+    return ParameterSet(p.energy, p.lambdas, p.gammas - delta)
 
 
 # -- parameter-set JSON schema -------------------------------------------------

@@ -400,3 +400,73 @@ def test_eval_near_singular_exit_4_names_point(tmp_path, capsys, monkeypatch, ne
     assert code == 4
     assert out == ""
     assert err.startswith("error: evaluation failed at (x1=0, x2=0, t=0): near-singular")
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("eval", ("--grid=-1:1:3,-1:1:3", "--out")),
+        ("asymptotics", ("--block", "1", "--times", "10", "--window-points", "3", "--out")),
+    ],
+    ids=["eval", "asymptotics"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exit_2_one_line(tmp_path, capsys, command, argv, target):
+    cfg = write_config(tmp_path, N1_CONFIG)
+    out_path = str(tmp_path / "absent" / "x.out") if target == "missing-dir" else str(tmp_path)
+    code, out, err = run(capsys, command, cfg, *argv, out_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out_path in err
+
+
+# -- the exit-code table -----------------------------------------------------------
+
+# Each command with the library call it makes, patched below to fail.
+TABLE_COMMANDS = [
+    pytest.param(("validate", "{cfg}"), "par", "validate", id="validate"),
+    pytest.param(("eval", "{cfg}", "--grid=-1:1:3,-1:1:3"), "pot", "fields", id="eval"),
+    pytest.param(("velocity", "{cfg}"), "par", "block_velocities", id="velocity"),
+    pytest.param(
+        ("solve-velocity", "--E", "1", "--c", "21,0"),
+        "par",
+        "solve_velocity_inverse",
+        id="solve-velocity",
+    ),
+    pytest.param(("residual", "{cfg}", "--points", "3"), "ver", "nv_residual", id="residual"),
+    pytest.param(
+        ("asymptotics", "{cfg}", "--block", "1", "--times", "10"),
+        "ver",
+        "asymptotic_error_sweep",
+        id="asymptotics",
+    ),
+]
+NEAR_SINGULAR_LINE = (
+    "error: evaluation failed at (x1=1, x2=2, t=3): near-singular potential matrix at "
+    "(x1=1, x2=2, t=3): |det| = 1.000e-03, rcond = 1.000e-14\n"
+)
+TABLE_FAILURES = [
+    (
+        gz.InvalidParameterSetError(gz.ValidationReport(False, ("a", "b"))),
+        1,
+        "invalid: a\ninvalid: b\n",
+    ),
+    (gz.NearSingularError(gz.SpacetimePoint(1.0, 2.0, 3.0), 1e-3, 1e-14), 4, NEAR_SINGULAR_LINE),
+    (gz.VelocityInverseError("on the boundary"), 3, "error: on the boundary\n"),
+    (ValueError("bad value"), 2, "error: bad value\n"),
+    (OSError("cannot go on"), 2, "error: cannot go on\n"),
+]
+
+
+@pytest.mark.parametrize("argv, module, name", TABLE_COMMANDS)
+@pytest.mark.parametrize(
+    "exc, code, err", TABLE_FAILURES, ids=[type(f[0]).__name__ for f in TABLE_FAILURES]
+)
+def test_exit_code_table(tmp_path, capsys, monkeypatch, argv, module, name, exc, code, err):
+    def fail(*args, **kwargs):
+        raise exc.with_traceback(None)  # the instance is shared by the cases
+
+    monkeypatch.setattr(getattr(cli, module), name, fail)
+    cfg = write_config(tmp_path, N2_CONFIG)
+    assert run(capsys, *(a.format(cfg=cfg) for a in argv)) == (code, "", err)

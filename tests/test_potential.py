@@ -1,5 +1,6 @@
 import ast
 import cmath
+import gc
 import itertools
 import math
 from pathlib import Path
@@ -166,6 +167,21 @@ def test_near_singular_point_before_a_singular_one_raises_first(near_singular_se
     with pytest.raises(gz.NearSingularError) as err:
         fields(ev, z, t)
     assert err.value.point == gz.SpacetimePoint(0.0, 0.0, 0.0)
+
+
+def test_kernel_frees_its_work_arrays_without_the_garbage_collector(n2_standard):
+    # A reference cycle in the kernel would hold its stacked A^-1 sandwiches
+    # until the next gc pass, which raises peak memory by megabytes.
+    ev = gz.PotentialEvaluator(n2_standard)
+    z, t = _points(20, seed=6)
+    log_det_partials(ev, z, t, KERNEL_KEYS)  # builds and caches the plan
+    gc.collect()
+    gc.disable()
+    try:
+        log_det_partials(ev, z, t, KERNEL_KEYS)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_kernel_rejects_nonfinite_and_empty_input(n1_standard):
