@@ -11,11 +11,13 @@ main alone maps the exception to the exit code and one stderr line:
     4  EvaluationError            "error: evaluation failed at <point>: <msg>"
 
 Exit code 0 is success; validate reports violations on stdout and exits 1.
+The argument parser is built once per process, on the first call to main.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -186,6 +188,8 @@ def cmd_residual(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     ps = _load_validated(args.config)
+    if not math.isfinite(args.window):
+        raise ValueError(f"--window must be finite, got {args.window!r}")
     ev = pot.PotentialEvaluator(ps)
     times = _times(args.times)
     probe = 0j if args.probe is None else _pair("--probe", args.probe)
@@ -194,7 +198,9 @@ def cmd_asymptotics(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built on the first call, the same object after."""
     parser = argparse.ArgumentParser(
         prog="gzpot",
         description="Rational Novikov-Veselov solitons: evaluation, velocities, residuals, splitting",

@@ -284,7 +284,8 @@ def forbidden_region_bound(c: complex, energy: float) -> float:
     # Fold the target direction into the arc phi_p in [0, 2pi/3], on which
     # arg(_boundary_point) decreases from 0 to -2pi/3 (the curve has a
     # three-fold rotation symmetry).
-    target = cmath.phase(complex(c))
+    c = complex(c)
+    target = math.atan2(c.imag, c.real)  # cmath.phase raises on an underflowing angle
     target -= third * math.ceil(target / third)
     # Bisect for arg(_boundary_point(p)) = target, with the phase in closed
     # form: arg(2 e^{-ip} + e^{2ip}) = atan2(sin 2p - 2 sin p, 2 cos p + cos 2p).
@@ -298,7 +299,10 @@ def forbidden_region_bound(c: complex, energy: float) -> float:
             lo = mid
         else:
             hi = mid
-    return energy * abs(_boundary_point(0.5 * (lo + hi)))
+    bound = energy * abs(_boundary_point(0.5 * (lo + hi)))
+    if not math.isfinite(bound):
+        raise ValueError(f"the forbidden-region bound overflows for E={energy!r}")
+    return bound
 
 
 def solve_velocity_inverse(c: complex, energy: float) -> np.ndarray | None:
@@ -343,6 +347,7 @@ def canonical_lambda_order(lams: Sequence[complex]) -> np.ndarray:
     return np.array(sorted((complex(l) for l in lams), key=key), dtype=complex)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # E^(3/2) overflows: the kernel rejects A
 def diagonal_coefficients(p: ParameterSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients dz, dzbar, dt of z, zbar and t in the potential matrix diagonal.
 
@@ -386,6 +391,13 @@ def translate_gammas(p: ParameterSet, zeta: complex, tau: float) -> ParameterSet
 # Only block seeds are ever read from files; the full 4N arrays are derived.
 
 
+def _schema_float(x: int | float, where: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError(f"{where}: number too large for a float") from None
+
+
 def _schema_complex(obj, where: str) -> complex:
     if (
         not isinstance(obj, (list, tuple))
@@ -393,7 +405,7 @@ def _schema_complex(obj, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     ):
         raise ValueError(f"{where}: expected [re, im] pair of numbers")
-    return complex(obj[0], obj[1])
+    return complex(_schema_float(obj[0], where), _schema_float(obj[1], where))
 
 
 def parameter_set_from_dict(obj) -> ParameterSet:
@@ -423,7 +435,7 @@ def parameter_set_from_dict(obj) -> ParameterSet:
                 _schema_complex(blk["gamma"], f'blocks[{i}].gamma'),
             )
         )
-    return expand_blocks(float(energy), seeds, check=False)
+    return expand_blocks(_schema_float(energy, '"E"'), seeds, check=False)
 
 
 def load_parameter_set(path: str | Path) -> ParameterSet:

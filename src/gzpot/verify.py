@@ -161,10 +161,13 @@ def travel_wave_error(
 
 
 def _window_grid(radius: float, n: int) -> np.ndarray:
-    g = np.linspace(-radius, radius, n)
-    a, b = np.repeat(g, g.size), np.tile(g, g.size)
-    inside = a * a + b * b <= radius * radius
-    return a[inside] + 1j * b[inside]
+    # A radius near the float limit overflows to non-finite points, which
+    # the kernel rejects; numpy's warning would only precede that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.linspace(-radius, radius, n)
+        a, b = np.repeat(g, g.size), np.tile(g, g.size)
+        inside = a * a + b * b <= radius * radius
+        return a[inside] + 1j * b[inside]
 
 
 def asymptotic_error_sweep(
@@ -210,7 +213,8 @@ def asymptotic_error_sweep(
     # One batch, ordered as a point-by-point sweep would go (sign, time,
     # window point, co-moving before probe), so that the same point fails first.
     tt = np.multiply.outer((1.0, -1.0), times)[:, :, None, None]
-    z = window[:, None] + np.array([c, probe_velocity]) * tt
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite z: the kernel raises
+        z = window[:, None] + np.array([c, probe_velocity]) * tt
     v, w, *_ = fields(ev, z, np.broadcast_to(tt, z.shape))
     v, w = v.reshape(z.shape), w.reshape(z.shape)
     tables = [

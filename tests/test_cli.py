@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gzpot as gz
 from gzpot import cli
@@ -88,6 +92,22 @@ def test_validate_schema_error_exit_2(tmp_path, capsys):
 def test_validate_missing_file_exit_2(tmp_path, capsys):
     code, _, _ = run(capsys, "validate", str(tmp_path / "absent.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        (dict(N1_CONFIG, E=10**400), '"E"'),
+        ({"E": 1.0, "blocks": [{"lambda": [10**400, 0], "gamma": [1, 0]}]}, "blocks[0].lambda"),
+    ],
+    ids=["energy", "lambda"],
+)
+def test_validate_huge_json_integer_exit_2_one_line(tmp_path, capsys, cfg, key):
+    path = write_config(tmp_path, cfg)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {key}: number too large for a float\n"
 
 
 # -- eval ------------------------------------------------------------------------
@@ -259,6 +279,7 @@ def test_solve_velocity_near_unit_modulus_exit_0(capsys):
         ("--E", "nan", "--c", "21,0"),
         ("--E", "inf", "--c", "1,0"),
         ("--E", "1e-300", "--c", "1,0"),
+        ("--E", "1.7e308", "--c", "1.7e308,1.7e308"),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -267,6 +288,15 @@ def test_solve_velocity_bad_input_exit_2_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solve_velocity_forbidden_at_an_underflowing_angle(capsys):
+    # arg(c) = 2e-341 underflows; the direction is simply the real axis.
+    code, out, err = run(capsys, "solve-velocity", "--E", "1e300", "--c", "1e300,2e-41")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["status"] == "forbidden"
+    assert payload["bound"] == pytest.approx(18e300)
 
 
 # -- residual ----------------------------------------------------------------------
@@ -391,6 +421,41 @@ def test_eval_overflowing_matrix_exit_4_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--window", "inf"), 2),
+        (("--probe", "1e308,0"), 2),
+        (("--window", "1e200"), 0),
+    ],
+    ids=["window inf", "probe 1e308", "window 1e200"],
+)
+def test_asymptotics_overflow_one_line_or_none(tmp_path, capsys, argv, code):
+    # Overflowing window or co-moving coordinates print no numpy warning.
+    cfg = write_config(tmp_path, N1_CONFIG)
+    got, out, err = run(capsys, "asymptotics", cfg, "--block", "1", "--times", "10", *argv)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+        assert json.loads(out)["block"] == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_overflowing_energy_exit_4_one_line(tmp_path, capsys):
+    # E^(3/2) overflows, so no entry of A is finite: a valid set that no
+    # float evaluation can serve.
+    cfg = write_config(tmp_path, dict(N1_CONFIG, E=1e300))
+    code, out, err = run(capsys, "eval", cfg, "--grid=-1:1:2,-1:1:2")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: evaluation failed at (x1=-1, x2=-1, t=0)")
+    assert err.count("\n") == 1
+
+
 def test_eval_near_singular_exit_4_names_point(tmp_path, capsys, monkeypatch, near_singular_set):
     # The near-singular set breaks the gamma constraints, so no config file
     # can hold it; the loader and validation are bypassed to reach evaluation.
@@ -470,3 +535,144 @@ def test_exit_code_table(tmp_path, capsys, monkeypatch, argv, module, name, exc,
     monkeypatch.setattr(getattr(cli, module), name, fail)
     cfg = write_config(tmp_path, N2_CONFIG)
     assert run(capsys, *(a.format(cfg=cfg) for a in argv)) == (code, "", err)
+
+
+# -- one parser per process ----------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    parser = cli.build_parser()
+    assert cli.main(["solve-velocity", "--E", "1", "--c", "21,0"]) == 0
+    assert cli.build_parser() is parser
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    cfg = write_config(tmp_path, N1_CONFIG)
+    grid = "--grid=-1:1:3,-1:1:3"
+    _, later, _ = run(capsys, "eval", cfg, grid, "--t=0.5")
+    _, plain, _ = run(capsys, "eval", cfg, grid)
+    _, at_zero, _ = run(capsys, "eval", cfg, grid, "--t", "0")
+    assert plain == at_zero != later
+
+    argv = ("asymptotics", cfg, "--block", "1", "--times", "10", "--window-points", "3")
+    _, probed, _ = run(capsys, *argv, "--probe", "1,0")
+    _, unprobed, _ = run(capsys, *argv)
+    assert json.loads(probed)["probe_velocity"] == [1.0, 0.0]
+    assert json.loads(unprobed)["probe_velocity"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("argv", [("eval",), ("solve-velocity", "--E", "x", "--c", "1,0"), ("-h",)])
+def test_parser_exit_leaves_next_call_working(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == (0 if argv == ("-h",) else 2)
+    assert "usage: gzpot" in "".join(capsys.readouterr())
+    code, out, err = run(capsys, "solve-velocity", "--E", "1", "--c", "21,0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "ok"
+
+
+# -- the CLI contract as a property --------------------------------------------------
+
+# Each value is drawn either from a range where the command runs to the end or
+# from the extremes: zero, the float limits, non-finite values and, in
+# configs, JSON integers beyond the float range.
+EXTREMES = (0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, math.inf, -math.inf, math.nan)
+HUGE_INT = 10**400
+
+
+def _numbers(lo: float, hi: float, *extra):
+    return st.one_of(st.floats(lo, hi), st.sampled_from(EXTREMES + extra))
+
+
+def _arg(x: float) -> str:
+    return repr(float(x))
+
+
+def _configs(energy, number):
+    pair = st.lists(number, min_size=2, max_size=2)
+    block = st.fixed_dictionaries({"lambda": pair, "gamma": pair})
+    return st.fixed_dictionaries({"E": energy, "blocks": st.lists(block, min_size=1, max_size=3)})
+
+
+CONFIGS = st.one_of(
+    _configs(st.floats(0.2, 4.0), st.floats(-3, 3)),
+    _configs(_numbers(0.2, 4.0, HUGE_INT, 2), _numbers(-3, 3, HUGE_INT, -HUGE_INT, 0)),
+)
+PAIRS = st.tuples(_numbers(-30, 30), _numbers(-30, 30)).map(lambda p: f"{_arg(p[0])},{_arg(p[1])}")
+GRID_AXES = st.one_of(
+    st.tuples(st.floats(-5, -0.5), st.floats(0.5, 5), st.integers(2, 6)),
+    st.tuples(_numbers(-5, 5), _numbers(-5, 5), st.integers(0, 6)),
+).map(lambda a: f"{_arg(a[0])}:{_arg(a[1])}:{a[2]}")
+TIMES = st.one_of(
+    st.lists(st.floats(1.0, 1e6), min_size=1, max_size=3, unique=True).map(sorted),
+    st.lists(_numbers(-5, 5), min_size=1, max_size=3),
+).map(lambda ts: ",".join(map(_arg, ts)))
+# The flags of each command; all but solve-velocity take the config path first.
+COMMAND_FLAGS = {
+    "validate": st.just(()),
+    "velocity": st.just(()),
+    "eval": st.tuples(GRID_AXES, GRID_AXES, _numbers(-2, 2)).map(
+        lambda a: (f"--grid={a[0]},{a[1]}", f"--t={_arg(a[2])}")
+    ),
+    "residual": st.tuples(st.integers(-1, 5), st.integers(-1, 3)).map(
+        lambda a: ("--points", str(a[0]), "--seed", str(a[1]))
+    ),
+    "asymptotics": st.tuples(
+        st.sampled_from((1, 2, 3, 0)), TIMES, _numbers(0.5, 5), st.integers(0, 7), st.none() | PAIRS
+    ).map(
+        lambda a: (
+            "--block", str(a[0]),
+            f"--times={a[1]}",
+            f"--window={_arg(a[2])}",
+            "--window-points", str(a[3]),
+        )
+        + (() if a[4] is None else (f"--probe={a[4]}",))
+    ),
+    "solve-velocity": st.tuples(_numbers(0.2, 4.0), PAIRS).map(
+        lambda a: (f"--E={_arg(a[0])}", f"--c={a[1]}")
+    ),
+}
+COMMANDS = st.sampled_from(sorted(COMMAND_FLAGS)).flatmap(
+    lambda cmd: COMMAND_FLAGS[cmd].map(lambda flags: (cmd, flags))
+)
+
+
+def _check_stdout(command: str, out: str) -> None:
+    """Exit 0: the output parses, and no report covers an empty sample."""
+    if command == "validate":
+        assert out.startswith("ok: ") and out.count("\n") == 1
+    elif command == "eval":
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert header == ["x1", "x2", "v", "w_re", "w_im", "absdet"]
+        assert rows and all(len(row) == 6 for row in rows)
+        [float(x) for row in rows for x in row]
+    else:
+        payload = json.loads(out)
+        if command == "residual":
+            assert payload["points"] >= 1
+        elif command == "asymptotics":
+            assert len(payload["times"]) >= 1
+            assert len(payload["forward"]["errors_v"]) == len(payload["times"])
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+@settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(config=CONFIGS, command=COMMANDS)
+def test_cli_contract_property(tmp_path, capsys, config, command):
+    """Every input ends in a documented exit code, one stderr line for 2-4."""
+    name, flags = command
+    if name != "solve-velocity":
+        flags = (write_config(tmp_path, config), *flags)
+    code, out, err = run(capsys, name, *flags)
+    assert code in range(5), (flags, code, err)
+    if code >= 2:
+        assert err.count("\n") == 1 and err.endswith("\n"), (flags, err)
+    if code == 0:
+        assert err == "", (flags, err)
+        _check_stdout(name, out)

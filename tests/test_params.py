@@ -360,6 +360,8 @@ def test_parameter_set_from_dict_roundtrip(n2_standard):
         {"E": 1.0, "blocks": [{"lambda": [2, 0]}]},
         {"E": 1.0, "blocks": [{"lambda": [2, 0, 1], "gamma": [0, 0]}]},
         {"E": 1.0, "blocks": [{"lambda": "2", "gamma": [0, 0]}]},
+        {"E": 10**400, "blocks": [{"lambda": [2, 0], "gamma": [0, 0]}]},
+        {"E": 1.0, "blocks": [{"lambda": [2, 0], "gamma": [0, -(10**400)]}]},
     ],
 )
 def test_parameter_set_from_dict_schema_errors(obj):
