@@ -35,8 +35,6 @@ EXIT_PARSE = 2
 EXIT_BOUNDARY = 3
 EXIT_DIAGNOSTIC = 4
 
-VELOCITY_SPREAD_TOL = 1e-12
-
 
 def parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse "x1min:x1max:n1,x2min:x2max:n2" into the two axes, endpoints included."""
@@ -150,13 +148,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_velocity(args) -> int:
-    ps = _load_validated(args.config)
-    spread = par.velocity_spread(ps)
-    if spread > VELOCITY_SPREAD_TOL:
-        msg = f"within-block velocity mismatch {spread:.3e} exceeds {VELOCITY_SPREAD_TOL:g}"
-        print(f"internal error: {msg}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
-    cs = par.block_velocities(ps)
+    cs = par.block_velocities(_load_validated(args.config))
     _write(_json([[c.real + 0.0, c.imag + 0.0] for c in cs]), None)
     return EXIT_OK
 

@@ -327,7 +327,7 @@ def solve_velocity_inverse(c: complex, energy: float) -> np.ndarray | None:
         raise VelocityInverseError(
             f"velocity c={c!r} lies within rounding of the forbidden boundary for E={energy!r}"
         )
-    lam = math.sqrt(0.5 * (s + math.sqrt((s - 2.0) * (s + 2.0)))) * cmath.sqrt(q)
+    lam = math.sqrt(0.5 * (s + math.sqrt(s - 2.0) * math.sqrt(s + 2.0))) * cmath.sqrt(q)
     if not cmath.isfinite(lam):
         raise ValueError(f"velocity c={c!r} is too large for E={energy!r}: lambda overflows")
     mirror = 1.0 / lam.conjugate()

@@ -23,7 +23,13 @@ v is real up to rounding; the imaginary part is kept as a diagnostic.
 Every evaluation goes through one batched kernel, log_det_partials.  It
 inverts A stacked over many points and, as every D is diagonal, contracts each
 trace as tr(L D_a R D_b) = sum_ij (L o R^T)_ij b_i a_j, with L, R the
-sandwiches X D_d1 X ... D_dk X of its two halves.
+sandwiches X D_d1 X ... D_dk X of its two halves.  Each sandwich costs one
+stacked product, so of the rotations of each trace the plan takes one whose
+halves reuse sandwiches already planned: the eight partials behind the
+equation residuals need three products, S(z), S(zbar) and S(z, zbar).  Each
+pair is contracted only against the keys it feeds.  The determinant itself is
+the order-0 key (), ln|det A|; only callers that read |det A| ask for it, and
+without it no slogdet is taken.
 """
 
 from __future__ import annotations
@@ -51,15 +57,19 @@ _ALL_ONES = np.ones((1, 1, 1))  # the all-ones sandwich of the first order, broa
 
 
 class EvaluationError(Exception):
-    """Base class for evaluation failures of the potential machinery."""
+    """Evaluation failure of the potential machinery at a point: the base
+    class, raised itself where the potential matrix is not finite."""
+
+    def __init__(self, message: str, point: "SpacetimePoint"):
+        super().__init__(message)
+        self.point = point
 
 
 class SingularMatrixError(EvaluationError):
     """Potential matrix exactly singular at an evaluation point."""
 
     def __init__(self, point: "SpacetimePoint"):
-        super().__init__(f"singular potential matrix at {point}")
-        self.point = point
+        super().__init__(f"singular potential matrix at {point}", point)
 
 
 class NearSingularError(EvaluationError):
@@ -67,9 +77,9 @@ class NearSingularError(EvaluationError):
 
     def __init__(self, point: "SpacetimePoint", absdet: float, rcond: float):
         super().__init__(
-            f"near-singular potential matrix at {point}: |det| = {absdet:.3e}, rcond = {rcond:.3e}"
+            f"near-singular potential matrix at {point}: |det| = {absdet:.3e}, rcond = {rcond:.3e}",
+            point,
         )
-        self.point = point
         self.absdet = absdet
         self.rcond = rcond
 
@@ -164,21 +174,22 @@ class PotentialEvaluator:
         return m
 
     def _plan(self, keys: tuple[tuple[str, ...], ...]):
-        """How _contract evaluates keys: ((left, right), weights) per pair of
-        sandwiches S(d1..dk) = X D_d1 X ... D_dk X named by directions (None:
-        all ones), weights (K, n * n) the conjugated boundary diagonals."""
+        """How _contract evaluates keys: ((left, right), rows, weights) per pair
+        of sandwiches S(d1..dk) = X D_d1 X ... D_dk X named by directions (None:
+        all ones), rows the key columns it feeds (None: all of them), weights
+        (len(rows), n * n) the conjugated boundary diagonals."""
         if keys not in self._plans:
-            pairs = defaultdict(lambda: np.zeros((len(keys), self.size**2), complex))
-            for k, key in enumerate(keys):
-                for cycle, coeff in _trace_terms(key):
-                    # Cycles start at their least rotation, so left <= right: one order per pair.
-                    if h := len(cycle) // 2:  # tr(L Da R Db) = sum_ij (L o R^T)_ij b_i a_j
-                        left, a, right, b = cycle[: h - 1], cycle[h - 1], cycle[h:-1], cycle[-1]
-                        pair, w = (left, right), np.multiply.outer(self._diag[b], self._diag[a])
-                    else:  # tr(X Da) = sum_ij (X o 1)_ij diag(a)_ij
-                        pair, w = ((), None), np.diag(self._diag[cycle[0]])
-                    pairs[pair][k] += coeff * w.ravel().conj()
-            self._plans[keys] = tuple(pairs.items())
+            plan = []
+            for pair, rows, terms in _pair_terms(keys):
+                w = np.zeros((len(rows), self.size**2), complex)
+                for r, a, b, coeff in terms:
+                    if b is None:  # tr(X Da) = sum_ij (X o 1)_ij diag(a)_ij
+                        wa = np.diag(self._diag[a])
+                    else:  # tr(L Da R Db) = sum_ij (L o R^T)_ij b_i a_j
+                        wa = np.multiply.outer(self._diag[b], self._diag[a])
+                    w[r] += coeff * wa.ravel().conj()
+                plan.append((pair, None if len(rows) == len(keys) else np.array(rows), w))
+            self._plans[keys] = tuple(plan)
         return self._plans[keys]
 
 
@@ -217,6 +228,54 @@ def _trace_terms(idx_key: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], int],
     return tuple(sorted((cycle, sign * n) for cycle, n in cycles.items()))
 
 
+def _halves(cycle: tuple[str, ...]) -> tuple:
+    # (L, a, R, b) for tr(L Da R Db); at odd order L is the shorter half.
+    h = len(cycle) // 2
+    return cycle[: h - 1], cycle[h - 1], cycle[h:-1], cycle[-1]
+
+
+def _prefixes(cycle: tuple[str, ...]) -> set:
+    # The sandwiches behind a cycle's two halves, each built from its prefix.
+    left, _, right, _ = _halves(cycle)
+    return {s[:i] for s in (left, right) for i in range(1, len(s) + 1)}
+
+
+@lru_cache(maxsize=None)
+def _pair_terms(keys: tuple[tuple[str, ...], ...]) -> tuple:
+    """The keys' trace monomials grouped by sandwich pair: ((left, right),
+    rows, terms) with rows the keys the pair feeds and terms (r, a, b, coeff)
+    for the r-th of them (b None at order 1: the pair (X, all ones)).
+
+    A trace may start at any rotation of its cycle.  The longest cycles are
+    placed first, each at the rotation needing the fewest sandwiches not yet
+    planned, then the one whose right half has the most distinct directions,
+    then the least; so the eight residual keys need S(z), S(zbar), S(z,zbar).
+    """
+    planned = set()
+    pairs = defaultdict(list)
+    monomials = [(cycle, coeff, k) for k, key in enumerate(keys) for cycle, coeff in _trace_terms(key)]
+    for cycle, coeff, k in sorted(monomials, key=lambda m: -len(m[0])):
+        if len(cycle) == 1:
+            pairs[(), None].append((k, cycle[0], None, coeff))
+            continue
+        rotations = {cycle[i:] + cycle[:i] for i in range(len(cycle))}
+        cycle = min(
+            rotations,
+            key=lambda c: (len(_prefixes(c) - planned), -len(set(_halves(c)[2])), c),
+        )
+        planned |= _prefixes(cycle)
+        left, a, right, b = _halves(cycle)
+        if right < left:  # tr(L Da R Db) = tr(R Db L Da): one order per pair
+            left, a, right, b = right, b, left, a
+        pairs[left, right].append((k, a, b, coeff))
+    grouped = []
+    for pair, terms in pairs.items():
+        rows = sorted({k for k, *_ in terms})
+        terms = tuple((rows.index(k), *rest) for k, *rest in terms)
+        grouped.append((pair, tuple(rows), terms))
+    return tuple(grouped)
+
+
 def _contract(
     ev: PotentialEvaluator, ainv: np.ndarray, keys: tuple[tuple[str, ...], ...]
 ) -> np.ndarray:
@@ -235,24 +294,49 @@ def _contract(
         return sandwiches[dirs]
 
     out = np.zeros((p, len(keys)), dtype=complex)
-    for (left, right), weights in ev._plan(keys):
+    for (left, right), rows, weights in ev._plan(keys):
         # One Hadamard product per pair; vecdot conjugates the weights back.
         h = sandwich(left) * sandwich(right).transpose(0, 2, 1)
-        out += np.vecdot(weights, h.reshape(p, 1, n * n))
+        part = np.vecdot(weights, h.reshape(p, 1, n * n))
+        if rows is None:
+            out += part
+        else:
+            out[:, rows] += part
     return out
+
+
+def _inverse(a: np.ndarray, want_det: bool):
+    """(A^-1, exactly singular mask or None, ln|det A| or None) of the stack a.
+
+    slogdet runs if ln|det A| is wanted or inv finds an exactly singular
+    matrix; the singular ones then become the identity in a, so that one
+    inverse serves the chunk.
+    """
+    if not want_det:
+        try:
+            return np.linalg.inv(a), None, None
+        except np.linalg.LinAlgError:
+            pass
+    sign, logdet = np.linalg.slogdet(a)
+    singular = sign == 0
+    if singular.any():
+        a[singular] = np.eye(a.shape[-1])
+    return np.linalg.inv(a), singular, logdet
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow: inf |det A| or a NaN cond
 def log_det_partials(
     ev: PotentialEvaluator, z, t, keys: tuple[tuple[str, ...], ...]
-) -> tuple[dict[tuple[str, ...], np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[dict[tuple[str, ...], np.ndarray], np.ndarray | None, np.ndarray]:
     """Mixed partials of ln det A at many points (z_p, conj(z_p), t_p).
 
     z and t are equal-length sequences; keys is a tuple of sorted derivative
-    multisets.  Returns the partials per key, |det A| and the exact 1-norm
-    condition number ||A||_1 ||A^-1||_1, each of shape (P,).  The points are
-    processed in chunks of CHUNK_ELEMENTS matrix entries, and the first point
-    in input order whose matrix is singular or near-singular raises.
+    multisets, among them possibly the empty one (), the order-0 key
+    ln|det A|.  Returns the partials per key, |det A| (None unless () is a
+    key: only then is the determinant taken) and the exact 1-norm condition
+    number ||A||_1 ||A^-1||_1, each of shape (P,).  The points are processed
+    in chunks of CHUNK_ELEMENTS matrix entries, and the first point in input
+    order whose matrix is not finite, singular or near-singular raises.
     """
     z = np.asarray(z, dtype=complex).ravel()
     t = np.asarray(t, dtype=float).ravel()
@@ -260,27 +344,35 @@ def log_det_partials(
         raise ValueError("no points to evaluate")
     if not (np.isfinite(z).all() and np.isfinite(t).all()):
         raise ValueError("spacetime coordinates must be finite")
+    want_det = () in keys
+    keys = tuple(filter(None, keys))
     step = max(1, CHUNK_ELEMENTS // ev.size**2)
     parts = []
     for lo in range(0, z.size, step):
         a = ev.matrices(z[lo : lo + step], t[lo : lo + step])
-        sign, logdet = np.linalg.slogdet(a)
-        if (sign == 0).any():
-            a[sign == 0] = np.eye(ev.size)  # so one inverse serves the chunk; raised below
-        ainv = np.linalg.inv(a)
-        absdet = np.exp(logdet)
+        ainv, singular, logdet = _inverse(a, want_det)
         # 1-norms: the largest column sums of moduli.
         cond = np.abs(a).sum(axis=1).max(axis=1) * np.abs(ainv).sum(axis=1).max(axis=1)
-        bad = (sign == 0) | ~(cond <= 1.0 / NEAR_SINGULAR_RCOND)  # NaN is bad
+        bad = ~(cond <= 1.0 / NEAR_SINGULAR_RCOND)  # NaN is bad
+        if singular is not None:
+            bad |= singular
         if bad.any():
             i = int(bad.argmax())
             point = SpacetimePoint.from_z(z[lo + i], t[lo + i])
-            if sign[i] == 0:
+            if not np.isfinite(a[i]).all():
+                raise EvaluationError(f"potential matrix not finite at {point}", point)
+            if singular is not None and singular[i]:
                 raise SingularMatrixError(point)
-            raise NearSingularError(point, float(absdet[i]), float(1.0 / cond[i]))
-        parts.append((_contract(ev, ainv, keys), absdet, cond))
-    der, absdet, cond = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    return {key: der[:, k] for k, key in enumerate(keys)}, absdet, cond
+            absdet = np.exp(np.linalg.slogdet(a[i])[1])
+            raise NearSingularError(point, float(absdet), float(1.0 / cond[i]))
+        parts.append((_contract(ev, ainv, keys), logdet if want_det else None, cond))
+    der, logdet, cond = parts[0] if len(parts) == 1 else (
+        None if p[0] is None else np.concatenate(p) for p in zip(*parts)
+    )
+    partials = {key: der[:, k] for k, key in enumerate(keys)}
+    if want_det:
+        partials[()] = logdet
+    return partials, None if logdet is None else np.exp(logdet), cond
 
 
 def log_det_derivative(
@@ -308,7 +400,7 @@ def v_w(der: dict) -> tuple[np.ndarray, np.ndarray]:
 def fields(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, ...]:
     """Batched eval_fields: arrays of v, w, |det A|, condition number and the
     imaginary part of the v expression at the points of log_det_partials."""
-    der, absdet, cond = log_det_partials(ev, z, t, (KEY_V, KEY_W))
+    der, absdet, cond = log_det_partials(ev, z, t, ((), KEY_V, KEY_W))
     g, w = v_w(der)
     return g.real, w, absdet, cond, g.imag
 
@@ -364,5 +456,5 @@ def soliton_profile(
     """
     bev = ev.block_evaluator(block)
     z = complex(xi) + velocity(bev.params.lambdas[0], bev.params.energy) * t
-    v, w, *_ = fields(bev, [z], [t])
-    return float(v[0]), complex(w[0])
+    g, w = v_w(log_det_partials(bev, [z], [t], (KEY_V, KEY_W))[0])
+    return float(g[0].real), complex(w[0])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .params import block_velocities, velocity
 from .potential import KEY_V, KEY_W, PotentialEvaluator, SpacetimePoint
-from .potential import fields, log_det_partials, v_w
+from .potential import log_det_partials, v_w
 
 # Derivative multisets of F entering the residuals (sorted keys).
 _K_TV = ("t", "z", "zbar")
@@ -123,6 +123,12 @@ def _residuals(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(dt_v - rhs), np.abs(dzbar_w + 3.0 * dz_v)
 
 
+def _potentials(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, np.ndarray]:
+    """v and w at the points (z, t), without the determinant that fields takes."""
+    g, w = v_w(log_det_partials(ev, z, t, (KEY_V, KEY_W))[0])
+    return g.real, w
+
+
 def point_residuals(ev: PotentialEvaluator, point: SpacetimePoint) -> tuple[float, float]:
     """(evolution, constraint) residual magnitudes at a single point."""
     evolution, constraint = _residuals(ev, [point.z], [point.t])
@@ -156,8 +162,8 @@ def travel_wave_error(
     c = velocity(ev.params.block(block)[0][0], ev.params.energy)
     z = np.array([p.z for p in points])
     t = np.array([p.t for p in points])
-    shifted = fields(ev, z + c * dt, t + dt)[0]
-    return float(np.abs(shifted - fields(ev, z, t)[0]).max())
+    shifted = _potentials(ev, z + c * dt, t + dt)[0]
+    return float(np.abs(shifted - _potentials(ev, z, t)[0]).max())
 
 
 def _window_grid(radius: float, n: int) -> np.ndarray:
@@ -166,7 +172,11 @@ def _window_grid(radius: float, n: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.linspace(-radius, radius, n)
         a, b = np.repeat(g, g.size), np.tile(g, g.size)
-        inside = a * a + b * b <= radius * radius
+        # Scaled by a power of two, which is exact, so that no square
+        # overflows; the NaN points of an overflowing grid stay in.
+        s = math.ldexp(1.0, -math.frexp(radius)[1])
+        sa, sb, sr = a * s, b * s, radius * s
+        inside = ~(sa * sa + sb * sb > sr * sr)
         return a[inside] + 1j * b[inside]
 
 
@@ -208,14 +218,14 @@ def asymptotic_error_sweep(
             "per axis holds no point"
         )
     # The block profile: the block's own 4x4 subblock of A, at t = 0.
-    nu, omega, *_ = fields(ev.block_evaluator(block), window, np.zeros(window.size))
+    nu, omega = _potentials(ev.block_evaluator(block), window, np.zeros(window.size))
 
     # One batch, ordered as a point-by-point sweep would go (sign, time,
     # window point, co-moving before probe), so that the same point fails first.
     tt = np.multiply.outer((1.0, -1.0), times)[:, :, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite z: the kernel raises
         z = window[:, None] + np.array([c, probe_velocity]) * tt
-    v, w, *_ = fields(ev, z, np.broadcast_to(tt, z.shape))
+    v, w = _potentials(ev, z, np.broadcast_to(tt, z.shape))
     v, w = v.reshape(z.shape), w.reshape(z.shape)
     tables = [
         AsymptoticsTable(

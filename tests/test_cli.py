@@ -278,7 +278,7 @@ def test_solve_velocity_near_unit_modulus_exit_0(capsys):
         ("--E", "1", "--c", "nan,0"),
         ("--E", "nan", "--c", "21,0"),
         ("--E", "inf", "--c", "1,0"),
-        ("--E", "1e-300", "--c", "1,0"),
+        ("--E", "1e-300", "--c", "1e9,0"),
         ("--E", "1.7e308", "--c", "1.7e308,1.7e308"),
     ],
     ids=lambda argv: " ".join(argv),
@@ -453,6 +453,20 @@ def test_eval_overflowing_energy_exit_4_one_line(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("error: evaluation failed at (x1=-1, x2=-1, t=0)")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "energy, t", [(1e300, "0"), (1.0, "1e308")], ids=["E 1e300", "t 1e308"]
+)
+def test_eval_nonfinite_matrix_reported_as_not_finite(tmp_path, capsys, energy, t):
+    # Overflowed entries make A not finite; its condition is then NaN, which
+    # is no evidence of a near-singular matrix.
+    cfg = write_config(tmp_path, dict(N1_CONFIG, E=energy))
+    code, out, err = run(capsys, "eval", cfg, "--grid=-1:1:2,-1:1:2", "--t", t)
+    assert code == 4
+    assert out == ""
+    assert "not finite" in err and "near-singular" not in err
     assert err.count("\n") == 1
 
 

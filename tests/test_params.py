@@ -233,6 +233,18 @@ def test_solve_velocity_inverse_roundtrip():
         assert np.max(np.abs(got - expect)) < 1e-9
 
 
+@pytest.mark.parametrize("c, e", [(1e160, 1.0), (1e180, 1.0), (1.0, 1e-300)])
+def test_solve_velocity_inverse_huge_velocity_roundtrip(c, e):
+    # |lambda| is about sqrt(|c| / 6E), e.g. 4e79 at c = 1e160, E = 1: far
+    # inside the float range, although (s - 2)(s + 2) is not.
+    for phase in (1.0, 1j, cmath.exp(0.7j)):
+        got = gz.solve_velocity_inverse(c * phase, e)
+        assert got is not None and np.isfinite(got).all()
+        assert abs(abs(got[0]) - math.sqrt(c / (6.0 * e))) <= 1e-12 * abs(got[0])
+        for lam in got:
+            assert abs(gz.velocity(lam, e) - c * phase) <= 1e-14 * c
+
+
 def set_distance(got, lam):
     """Largest distance from a member of lam's family to the nearest entry of got."""
     return max(min(abs(m - g) for g in got) for m in lambda_family(lam))

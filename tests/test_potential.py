@@ -169,6 +169,55 @@ def test_near_singular_point_before_a_singular_one_raises_first(near_singular_se
     assert err.value.point == gz.SpacetimePoint(0.0, 0.0, 0.0)
 
 
+def test_bad_points_raise_in_order_without_the_determinant(near_singular_set, monkeypatch):
+    # Without the order-0 key no slogdet runs unless inv finds a singular
+    # matrix; the first bad point in input order must still raise by its kind.
+    ev = gz.PotentialEvaluator(near_singular_set)
+    assemble = ev.matrices
+    z, t = _points(6, seed=5)
+    z[2], t[2] = 0.0, 0.0  # near-singular
+    a2 = assemble(z[2:3], t[2:3])[0]
+    with pytest.raises(gz.NearSingularError) as err:
+        log_det_partials(ev, z, t, KERNEL_KEYS)
+    assert err.value.point == gz.SpacetimePoint(0.0, 0.0, 0.0)
+    assert err.value.absdet == pytest.approx(abs(np.linalg.det(a2)), rel=1e-6)
+
+    def singular_at(index):
+        def matrices(zs, ts):
+            a = assemble(zs, ts)
+            a[zs == z[index]] = 0.0
+            return a
+
+        return matrices
+
+    monkeypatch.setattr(ev, "matrices", singular_at(4))
+    with pytest.raises(gz.NearSingularError):
+        log_det_partials(ev, z, t, KERNEL_KEYS)
+    monkeypatch.setattr(ev, "matrices", singular_at(1))
+    with pytest.raises(gz.SingularMatrixError) as err:
+        log_det_partials(ev, z, t, KERNEL_KEYS)
+    assert err.value.point == gz.SpacetimePoint.from_z(z[1], t[1])
+
+
+def test_nonfinite_matrix_is_reported_as_not_finite(n1_standard, monkeypatch):
+    ev = gz.PotentialEvaluator(n1_standard)
+    assemble = ev.matrices
+    z, t = _points(5, seed=8)
+
+    def overflowed_at_third_point(zs, ts):
+        a = assemble(zs, ts)
+        a[zs == z[2], 0, 0] = complex(math.inf, 0.0)
+        return a
+
+    monkeypatch.setattr(ev, "matrices", overflowed_at_third_point)
+    for keys in (KERNEL_KEYS, ((),) + KERNEL_KEYS):
+        with pytest.raises(gz.EvaluationError) as err:
+            log_det_partials(ev, z, t, keys)
+        assert type(err.value) is gz.EvaluationError
+        assert "not finite" in str(err.value)
+        assert err.value.point == gz.SpacetimePoint.from_z(z[2], t[2])
+
+
 def test_kernel_frees_its_work_arrays_without_the_garbage_collector(n2_standard):
     # A reference cycle in the kernel would hold its stacked A^-1 sandwiches
     # until the next gc pass, which raises peak memory by megabytes.
@@ -277,6 +326,70 @@ def test_high_order_derivatives_match_finite_differences(n2_standard):
             exact = gz.log_det_derivative(ev, pt, idx)
             approx = fd_logdet_derivative(n2_standard, pt, idx, hs)
             assert abs(exact - approx) <= 1e-4 * (1.0 + abs(exact)), idx
+
+
+# -- work done per evaluation ---------------------------------------------------
+
+
+def test_residual_plan_builds_three_sandwiches(n2_standard, monkeypatch):
+    # Each stacked product S(..d) = S(..) D_d X reads one direction diagonal.
+    # With the trace rotations chosen to share halves, the residual needs
+    # S(z), S(zbar) and S(z, zbar).
+    ev = gz.PotentialEvaluator(n2_standard)
+    built = []
+    diagonal = ev.direction_diagonal
+
+    def recording(direction):
+        built.append(direction)
+        return diagonal(direction)
+
+    monkeypatch.setattr(ev, "direction_diagonal", recording)
+    gz.nv_residual(ev, gz.sample_points(30, seed=1))
+    assert sorted(built) == ["z", "zbar", "zbar"]
+
+
+def test_no_pair_contracts_a_zero_weight_row(n2_standard, monkeypatch):
+    weights = []
+    vecdot = np.vecdot
+
+    def recording(w, h):
+        weights.append(w)
+        return vecdot(w, h)
+
+    monkeypatch.setattr(np, "vecdot", recording)
+    ev = gz.PotentialEvaluator(n2_standard)
+    gz.nv_residual(ev, gz.sample_points(30, seed=1))
+    assert len(weights) == 5
+    assert sum(len(w) for w in weights) == 9  # of 5 pairs x 8 keys
+    assert all(np.abs(w).max(axis=1).min() > 0.0 for w in weights)
+    weights.clear()
+    log_det_partials(ev, *_points(7, seed=2), ALL_KEYS)
+    assert all(np.abs(w).max(axis=1).min() > 0.0 for w in weights)
+
+
+def test_determinant_taken_only_where_read(n2_standard, monkeypatch):
+    calls = []
+    slogdet = np.linalg.slogdet
+
+    def counting(a):
+        calls.append(a.shape)
+        return slogdet(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counting)
+    ev = gz.PotentialEvaluator(n2_standard)
+    gz.nv_residual(ev, gz.sample_points(30, seed=1))
+    gz.asymptotic_error_sweep(ev, 1, [10.0, 100.0], window_points=5)
+    gz.travel_wave_error(ev, 0.5, gz.sample_points(5, seed=2))
+    gz.soliton_profile(ev, 1, 0.5j)
+    assert calls == []
+    z, t = _points(3, seed=3)
+    v, w, absdet, cond, _ = fields(ev, z, t)
+    assert len(calls) == 1 and absdet.shape == (3,)
+    assert log_det_partials(ev, z, t, (("z",),))[1] is None
+    # The order-0 key is ln|det A|.
+    der, absdet, _ = log_det_partials(ev, z, t, ((),))
+    ref = np.log(np.abs(np.linalg.det(ev.matrices(z, t))))
+    assert np.allclose(der[()], ref, rtol=0.0, atol=1e-12) and np.allclose(absdet, np.exp(ref))
 
 
 # -- field evaluation ----------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import gzpot as gz
 
+from gzpot.verify import _window_grid
 from oracles import nv_evolution_residual_fd
 
 SQRT2 = math.sqrt(2.0)
@@ -171,6 +172,15 @@ def test_three_block_errors_nonincreasing_dyadic_times(n3_standard):
             assert all(a >= b for a, b in zip(table.errors_v, table.errors_v[1:]))
             assert all(a >= b for a, b in zip(table.errors_w, table.errors_w[1:]))
             assert all(a >= b for a, b in zip(table.probe_decay, table.probe_decay[1:]))
+
+
+@pytest.mark.parametrize("radius", [3.0, 1e150, 1e200])
+def test_window_grid_is_a_disc_at_any_radius(radius):
+    # The same 113 of the 13 x 13 square's points at every scale: the disc
+    # test must not overflow to inf <= inf and admit the corners.
+    grid = _window_grid(radius, 13)
+    assert grid.size == 113
+    assert np.allclose(grid / radius, _window_grid(3.0, 13) / 3.0, rtol=0.0, atol=1e-15)
 
 
 def test_sweep_report_json_structure(n2_standard):
