@@ -58,18 +58,13 @@ def parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(*axes[0]), np.linspace(*axes[1])
 
 
-def parse_complex_pair(text: str) -> complex:
-    """Parse "RE,IM" into a complex number."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected RE,IM, got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
-
-
 def _pair(flag: str, text: str) -> complex:
-    """parse_complex_pair(text), with the flag named in front of its ValueError."""
+    """Parse "RE,IM" into a complex number, with the flag named in front of its ValueError."""
     try:
-        return parse_complex_pair(text)
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"expected RE,IM, got {text!r}")
+        return complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 

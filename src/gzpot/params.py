@@ -250,15 +250,23 @@ def _deltoid_implicit(u: complex) -> float:
     return (d * d + y * y) ** 2 + 24.0 * d * (d * d + 9.0 * y * y) + 3888.0 * y * y
 
 
+def _checked_velocity(c: complex, energy: float) -> complex:
+    """complex(c), once E is positive and finite and c finite; c/E may still overflow."""
+    if not 0.0 < energy < math.inf:
+        raise ValueError(f"energy E must be positive and finite, got {energy!r}")
+    c = complex(c)
+    if not cmath.isfinite(c):
+        raise ValueError(f"velocity c must be finite, got c/E = {c / energy!r}")
+    return c
+
+
 def forbidden_region_contains(c: complex, energy: float) -> bool:
     """Whether velocity c admits no one-block travel wave (boundary included).
 
     True exactly when u = c/E lies inside or on the three-cusped boundary
     curve; every velocity attained by a valid lambda lies strictly outside.
     """
-    if not 0.0 < energy < math.inf:
-        raise ValueError(f"energy E must be positive and finite, got {energy!r}")
-    u = complex(c) / energy
+    u = _checked_velocity(c, energy) / energy
     if not cmath.isfinite(u):
         raise ValueError(f"velocity c must be finite, got c/E = {u!r}")
     return abs(u) <= 18.0 and _deltoid_implicit(u) <= 0.0  # cusps at |u| = 18
@@ -276,15 +284,14 @@ def forbidden_region_bound(c: complex, energy: float) -> float:
     18E (cusp directions 0, +-2pi/3).  Computed from the parametric boundary:
     the region is star-shaped, and as the parameter runs over one arc between
     cusps the polar angle of the boundary point sweeps one third of the turn
-    monotonically.
+    monotonically.  Only the direction of c matters, so a c/E that overflows
+    still has its bound.
     """
-    if energy <= 0:
-        raise ValueError("energy must be positive")
+    c = _checked_velocity(c, energy)
     third = 2.0 * math.pi / 3.0
     # Fold the target direction into the arc phi_p in [0, 2pi/3], on which
     # arg(_boundary_point) decreases from 0 to -2pi/3 (the curve has a
     # three-fold rotation symmetry).
-    c = complex(c)
     target = math.atan2(c.imag, c.real)  # cmath.phase raises on an underflowing angle
     target -= third * math.ceil(target / third)
     # Bisect for arg(_boundary_point(p)) = target, with the phase in closed

@@ -27,9 +27,9 @@ sandwiches X D_d1 X ... D_dk X of its two halves.  Each sandwich costs one
 stacked product, so of the rotations of each trace the plan takes one whose
 halves reuse sandwiches already planned: the eight partials behind the
 equation residuals need three products, S(z), S(zbar) and S(z, zbar).  Each
-pair is contracted only against the keys it feeds.  The determinant itself is
-the order-0 key (), ln|det A|; only callers that read |det A| ask for it, and
-without it no slogdet is taken.
+pair is contracted only against the keys it feeds.  |det A| is only the
+exponential of the order-0 partial, the key () for ln|det A|: only callers
+that read it ask for it, and without it no slogdet is taken.
 """
 
 from __future__ import annotations
@@ -153,10 +153,6 @@ class PotentialEvaluator:
             arr.setflags(write=False)
         self._plans: dict = {}  # per key set; any two builds of a plan are equal
 
-    def block_evaluator(self, k: int) -> "PotentialEvaluator":
-        """Evaluator of block k's own one-block set (1-based): A's 4x4 diagonal subblock."""
-        return PotentialEvaluator(ParameterSet(self.params.energy, *self.params.block(k)))
-
     def direction_diagonal(self, direction: str) -> np.ndarray:
         """Diagonal of the constant matrix dA in the given direction."""
         return self._diag[direction]
@@ -176,8 +172,8 @@ class PotentialEvaluator:
     def _plan(self, keys: tuple[tuple[str, ...], ...]):
         """How _contract evaluates keys: ((left, right), rows, weights) per pair
         of sandwiches S(d1..dk) = X D_d1 X ... D_dk X named by directions (None:
-        all ones), rows the key columns it feeds (None: all of them), weights
-        (len(rows), n * n) the conjugated boundary diagonals."""
+        all ones), rows the key columns it feeds (a slice if all of them),
+        weights (len(rows), n * n) the conjugated boundary diagonals."""
         if keys not in self._plans:
             plan = []
             for pair, rows, terms in _pair_terms(keys):
@@ -188,7 +184,7 @@ class PotentialEvaluator:
                     else:  # tr(L Da R Db) = sum_ij (L o R^T)_ij b_i a_j
                         wa = np.multiply.outer(self._diag[b], self._diag[a])
                     w[r] += coeff * wa.ravel().conj()
-                plan.append((pair, None if len(rows) == len(keys) else np.array(rows), w))
+                plan.append((pair, slice(None) if len(rows) == len(keys) else np.array(rows), w))
             self._plans[keys] = tuple(plan)
         return self._plans[keys]
 
@@ -277,9 +273,10 @@ def _pair_terms(keys: tuple[tuple[str, ...], ...]) -> tuple:
 
 
 def _contract(
-    ev: PotentialEvaluator, ainv: np.ndarray, keys: tuple[tuple[str, ...], ...]
-) -> np.ndarray:
-    """Trace sums (P, K) of the K keys against the stacked inverses ainv (P, n, n)."""
+    ev: PotentialEvaluator, ainv: np.ndarray, keys: tuple[tuple[str, ...], ...], out: np.ndarray
+) -> None:
+    """Add the trace sums of the K keys against the stacked inverses ainv
+    (P, n, n) into out (P, K)."""
     p, n, _ = ainv.shape
     sandwiches = {(): ainv, None: _ALL_ONES}
 
@@ -293,47 +290,37 @@ def _contract(
                 sandwiches[dirs[: k + 1]] = head @ ainv
         return sandwiches[dirs]
 
-    out = np.zeros((p, len(keys)), dtype=complex)
     for (left, right), rows, weights in ev._plan(keys):
         # One Hadamard product per pair; vecdot conjugates the weights back.
         h = sandwich(left) * sandwich(right).transpose(0, 2, 1)
-        part = np.vecdot(weights, h.reshape(p, 1, n * n))
-        if rows is None:
-            out += part
-        else:
-            out[:, rows] += part
-    return out
+        out[:, rows] += np.vecdot(weights, h.reshape(p, 1, n * n))
 
 
-def _inverse(a: np.ndarray, want_det: bool):
-    """(A^-1, exactly singular mask or None, ln|det A| or None) of the stack a.
+def _inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A^-1, exactly singular mask) of the stack a.
 
-    slogdet runs if ln|det A| is wanted or inv finds an exactly singular
-    matrix; the singular ones then become the identity in a, so that one
-    inverse serves the chunk.
+    Only if inv finds an exactly singular matrix does slogdet run, to tell
+    which; those then become the identity in a, so that one inverse serves
+    the chunk.
     """
-    if not want_det:
-        try:
-            return np.linalg.inv(a), None, None
-        except np.linalg.LinAlgError:
-            pass
-    sign, logdet = np.linalg.slogdet(a)
-    singular = sign == 0
-    if singular.any():
+    try:
+        return np.linalg.inv(a), np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(a)[0] == 0
         a[singular] = np.eye(a.shape[-1])
-    return np.linalg.inv(a), singular, logdet
+        return np.linalg.inv(a), singular
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow: inf |det A| or a NaN cond
+@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN cond is near-singular
 def log_det_partials(
     ev: PotentialEvaluator, z, t, keys: tuple[tuple[str, ...], ...]
-) -> tuple[dict[tuple[str, ...], np.ndarray], np.ndarray | None, np.ndarray]:
+) -> tuple[dict[tuple[str, ...], np.ndarray], np.ndarray]:
     """Mixed partials of ln det A at many points (z_p, conj(z_p), t_p).
 
     z and t are equal-length sequences; keys is a tuple of sorted derivative
-    multisets, among them possibly the empty one (), the order-0 key
-    ln|det A|.  Returns the partials per key, |det A| (None unless () is a
-    key: only then is the determinant taken) and the exact 1-norm condition
+    multisets, among them possibly the empty one (), the order-0 partial
+    ln|det A|: the only way to |det A|, and the only key that takes a
+    slogdet.  Returns the partials per key and the exact 1-norm condition
     number ||A||_1 ||A^-1||_1, each of shape (P,).  The points are processed
     in chunks of CHUNK_ELEMENTS matrix entries, and the first point in input
     order whose matrix is not finite, singular or near-singular raises.
@@ -344,35 +331,36 @@ def log_det_partials(
         raise ValueError("no points to evaluate")
     if not (np.isfinite(z).all() and np.isfinite(t).all()):
         raise ValueError("spacetime coordinates must be finite")
-    want_det = () in keys
+    logdet = np.empty(z.size) if () in keys else None
     keys = tuple(filter(None, keys))
+    der = np.zeros((z.size, len(keys)), dtype=complex)
+    cond = np.empty(z.size)
     step = max(1, CHUNK_ELEMENTS // ev.size**2)
-    parts = []
     for lo in range(0, z.size, step):
-        a = ev.matrices(z[lo : lo + step], t[lo : lo + step])
-        ainv, singular, logdet = _inverse(a, want_det)
+        hi = lo + step
+        a = ev.matrices(z[lo:hi], t[lo:hi])
+        ainv, singular = _inverse(a)
         # 1-norms: the largest column sums of moduli.
-        cond = np.abs(a).sum(axis=1).max(axis=1) * np.abs(ainv).sum(axis=1).max(axis=1)
-        bad = ~(cond <= 1.0 / NEAR_SINGULAR_RCOND)  # NaN is bad
-        if singular is not None:
-            bad |= singular
+        c = cond[lo:hi] = (
+            np.abs(a).sum(axis=1).max(axis=1) * np.abs(ainv).sum(axis=1).max(axis=1)
+        )
+        bad = ~(c <= 1.0 / NEAR_SINGULAR_RCOND) | singular  # NaN is bad
         if bad.any():
             i = int(bad.argmax())
             point = SpacetimePoint.from_z(z[lo + i], t[lo + i])
             if not np.isfinite(a[i]).all():
                 raise EvaluationError(f"potential matrix not finite at {point}", point)
-            if singular is not None and singular[i]:
+            if singular[i]:
                 raise SingularMatrixError(point)
             absdet = np.exp(np.linalg.slogdet(a[i])[1])
-            raise NearSingularError(point, float(absdet), float(1.0 / cond[i]))
-        parts.append((_contract(ev, ainv, keys), logdet if want_det else None, cond))
-    der, logdet, cond = parts[0] if len(parts) == 1 else (
-        None if p[0] is None else np.concatenate(p) for p in zip(*parts)
-    )
+            raise NearSingularError(point, float(absdet), float(1.0 / c[i]))
+        _contract(ev, ainv, keys, der[lo:hi])
+        if logdet is not None:
+            logdet[lo:hi] = np.linalg.slogdet(a)[1]
     partials = {key: der[:, k] for k, key in enumerate(keys)}
-    if want_det:
+    if logdet is not None:
         partials[()] = logdet
-    return partials, None if logdet is None else np.exp(logdet), cond
+    return partials, cond
 
 
 def log_det_derivative(
@@ -397,12 +385,20 @@ def v_w(der: dict) -> tuple[np.ndarray, np.ndarray]:
     return -4.0 * der[KEY_V], 12.0 * der[KEY_W]
 
 
+def potentials(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, np.ndarray]:
+    """v and w at the points of log_det_partials, without the determinant that
+    fields takes."""
+    g, w = v_w(log_det_partials(ev, z, t, (KEY_V, KEY_W))[0])
+    return g.real, w
+
+
+@np.errstate(over="ignore")  # |det A| beyond the float range is inf
 def fields(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, ...]:
     """Batched eval_fields: arrays of v, w, |det A|, condition number and the
     imaginary part of the v expression at the points of log_det_partials."""
-    der, absdet, cond = log_det_partials(ev, z, t, ((), KEY_V, KEY_W))
+    der, cond = log_det_partials(ev, z, t, ((), KEY_V, KEY_W))
     g, w = v_w(der)
-    return g.real, w, absdet, cond, g.imag
+    return g.real, w, np.exp(der[()]), cond, g.imag
 
 
 def eval_fields(ev: PotentialEvaluator, point: SpacetimePoint) -> FieldSample:
@@ -441,20 +437,17 @@ def linear_system_fields(
     return complex(v), complex(w)
 
 
-def soliton_profile(
-    ev: PotentialEvaluator, block: int, xi: complex, t: float = 0.0
-) -> tuple[float, complex]:
-    """Travel-wave profile (nu_k, omega_k) of one block at profile coordinate xi.
+def soliton_profile(ev: PotentialEvaluator, block: int, xi, t: float = 0.0):
+    """Travel-wave profile (nu_k, omega_k) of one block at profile coordinates xi.
 
-    Built from the 4x4 diagonal subblock of A evaluated at z = xi + c_k t; the
-    block depends on (z, t) only through z - c_k t, so the result does not
-    depend on t (up to rounding).  For N = 1 this reproduces v, w themselves.
-    Each call rebuilds the block's evaluator and its contraction plan: about
-    140 us a call against 70 us for the evaluation alone (README two-block
-    set, numpy 2.4, x86-64).  Bulk callers build the block evaluator once and
-    call fields(ev.block_evaluator(k), xi + c_k t, t) on arrays.
+    Built from the 4x4 diagonal subblock of A, block k's own one-block set,
+    evaluated at z = xi + c_k t; the block depends on (z, t) only through
+    z - c_k t, so the result does not depend on t (up to rounding).  For N = 1
+    this reproduces v, w themselves.  xi is a number or an array, and nu,
+    omega come back shaped like it.
     """
-    bev = ev.block_evaluator(block)
-    z = complex(xi) + velocity(bev.params.lambdas[0], bev.params.energy) * t
-    g, w = v_w(log_det_partials(bev, [z], [t], (KEY_V, KEY_W))[0])
-    return float(g[0].real), complex(w[0])
+    bev = PotentialEvaluator(ParameterSet(ev.params.energy, *ev.params.block(block)))
+    xi = np.asarray(xi, dtype=complex)
+    z = xi + velocity(bev.params.lambdas[0], bev.params.energy) * t
+    nu, omega = potentials(bev, z, np.full(z.size, float(t)))
+    return nu.reshape(xi.shape)[()], omega.reshape(xi.shape)[()]

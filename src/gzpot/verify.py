@@ -20,7 +20,7 @@ import numpy as np
 
 from .params import block_velocities, velocity
 from .potential import KEY_V, KEY_W, PotentialEvaluator, SpacetimePoint
-from .potential import log_det_partials, v_w
+from .potential import log_det_partials, potentials, soliton_profile, v_w
 
 # Derivative multisets of F entering the residuals (sorted keys).
 _K_TV = ("t", "z", "zbar")
@@ -108,7 +108,7 @@ def sample_points(n: int, seed: int) -> list[SpacetimePoint]:
 
 def _residuals(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, np.ndarray]:
     """(evolution, constraint) residual magnitudes at many points (z, t)."""
-    der, _, _ = log_det_partials(ev, z, t, _RESIDUAL_KEYS)
+    der, _ = log_det_partials(ev, z, t, _RESIDUAL_KEYS)
     g, w = v_w(der)
     v = g.real
     dt_v = (-4.0 * der[_K_TV]).real
@@ -121,12 +121,6 @@ def _residuals(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, np.ndarray]:
 
     rhs = 4.0 * (4.0 * dz3_v + dz_v * w + v * dz_w - ev.params.energy * dz_w).real
     return np.abs(dt_v - rhs), np.abs(dzbar_w + 3.0 * dz_v)
-
-
-def _potentials(ev: PotentialEvaluator, z, t) -> tuple[np.ndarray, np.ndarray]:
-    """v and w at the points (z, t), without the determinant that fields takes."""
-    g, w = v_w(log_det_partials(ev, z, t, (KEY_V, KEY_W))[0])
-    return g.real, w
 
 
 def point_residuals(ev: PotentialEvaluator, point: SpacetimePoint) -> tuple[float, float]:
@@ -162,8 +156,8 @@ def travel_wave_error(
     c = velocity(ev.params.block(block)[0][0], ev.params.energy)
     z = np.array([p.z for p in points])
     t = np.array([p.t for p in points])
-    shifted = _potentials(ev, z + c * dt, t + dt)[0]
-    return float(np.abs(shifted - _potentials(ev, z, t)[0]).max())
+    shifted = potentials(ev, z + c * dt, t + dt)[0]
+    return float(np.abs(shifted - potentials(ev, z, t)[0]).max())
 
 
 def _window_grid(radius: float, n: int) -> np.ndarray:
@@ -217,15 +211,14 @@ def asymptotic_error_sweep(
             f"profile window of radius {window_radius:g} with {window_points} points "
             "per axis holds no point"
         )
-    # The block profile: the block's own 4x4 subblock of A, at t = 0.
-    nu, omega = _potentials(ev.block_evaluator(block), window, np.zeros(window.size))
+    nu, omega = soliton_profile(ev, block, window)
 
     # One batch, ordered as a point-by-point sweep would go (sign, time,
     # window point, co-moving before probe), so that the same point fails first.
     tt = np.multiply.outer((1.0, -1.0), times)[:, :, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite z: the kernel raises
         z = window[:, None] + np.array([c, probe_velocity]) * tt
-    v, w = _potentials(ev, z, np.broadcast_to(tt, z.shape))
+    v, w = potentials(ev, z, np.broadcast_to(tt, z.shape))
     v, w = v.reshape(z.shape), w.reshape(z.shape)
     tables = [
         AsymptoticsTable(

@@ -261,6 +261,15 @@ def test_solve_velocity_bad_input_exit_2(capsys):
     assert run(capsys, "solve-velocity", "--E", "-1.0", "--c", "21,0")[0] == 2
 
 
+def test_complex_pair_errors_name_the_flag(tmp_path, capsys):
+    code, out, err = run(capsys, "solve-velocity", "--E", "1", "--c", "21")
+    assert (code, out, err) == (2, "", "error: --c: expected RE,IM, got '21'\n")
+    cfg = write_config(tmp_path, N1_CONFIG)
+    argv = ("asymptotics", cfg, "--block", "1", "--times", "10", "--probe", "x,1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --probe: could not convert string to float: 'x'\n")
+
+
 def test_solve_velocity_near_unit_modulus_exit_0(capsys):
     lam = 1.00001 * complex(math.cos(0.1), math.sin(0.1))
     c = gz.velocity(lam, 1.0)

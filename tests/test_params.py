@@ -194,6 +194,23 @@ def test_forbidden_region_bound_extents():
             assert inside == (abs(c) < b)
 
 
+@pytest.mark.parametrize(
+    "c, e",
+    [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, 0.0), (1.0, math.inf)],
+)
+def test_forbidden_region_bound_checks_input_as_contains_does(c, e):
+    with pytest.raises(ValueError, match="must be (positive and )?finite") as bound:
+        gz.forbidden_region_bound(c, e)
+    with pytest.raises(ValueError) as contains:
+        gz.forbidden_region_contains(c, e)
+    assert str(bound.value) == str(contains.value)
+
+
+def test_forbidden_region_bound_needs_only_the_direction():
+    # c/E overflows to inf, but the bound along the real axis is 18 E.
+    assert gz.forbidden_region_bound(1e308, 1e-10) == pytest.approx(18e-10)
+
+
 def test_attained_velocities_never_forbidden():
     rng = np.random.default_rng(10)
     for _ in range(500):

@@ -111,7 +111,7 @@ def test_batched_kernel_matches_oracle_and_single_points(fixture, request):
             assert abs(w[i] - w_ref) <= 1e-12 * (1.0 + abs(w_ref))
             assert abs(absdet[i] - det_ref) <= 1e-12 * det_ref
         assert np.all(cond >= 1.0) and np.all(np.abs(v_imag) <= 1e-9 * (1.0 + np.abs(v)))
-        der, _, _ = log_det_partials(ev, z, t, KERNEL_KEYS)
+        der, _ = log_det_partials(ev, z, t, KERNEL_KEYS)
         # The first and last point of each chunk, and one inside.
         for i in sorted({0, count // 2, min(chunk, count) - 1, count - 1}):
             pt = gz.SpacetimePoint.from_z(z[i], t[i])
@@ -302,7 +302,7 @@ def test_every_partial_matches_word_expansion(fixture, request):
     assert len(ALL_KEYS) == 55
     ps = request.getfixturevalue(fixture)
     z, t = _points(4, seed=55)
-    der, _, _ = log_det_partials(gz.PotentialEvaluator(ps), z, t, ALL_KEYS)
+    der, _ = log_det_partials(gz.PotentialEvaluator(ps), z, t, ALL_KEYS)
     for i in range(z.size):
         for key in ALL_KEYS:
             ref = word_logdet_derivative(ps, z[i], t[i], key)
@@ -385,9 +385,10 @@ def test_determinant_taken_only_where_read(n2_standard, monkeypatch):
     z, t = _points(3, seed=3)
     v, w, absdet, cond, _ = fields(ev, z, t)
     assert len(calls) == 1 and absdet.shape == (3,)
-    assert log_det_partials(ev, z, t, (("z",),))[1] is None
-    # The order-0 key is ln|det A|.
-    der, absdet, _ = log_det_partials(ev, z, t, ((),))
+    der, cond = log_det_partials(ev, z, t, (("z",),))
+    assert len(calls) == 1 and () not in der and cond.shape == (3,)
+    # The order-0 key is ln|det A|, and the |det A| of fields is its exponential.
+    der, _ = log_det_partials(ev, z, t, ((),))
     ref = np.log(np.abs(np.linalg.det(ev.matrices(z, t))))
     assert np.allclose(der[()], ref, rtol=0.0, atol=1e-12) and np.allclose(absdet, np.exp(ref))
 
@@ -475,6 +476,20 @@ def test_profile_matches_standalone_block_potential(n3_standard):
             assert abs(nu - s.v) < 1e-12
             assert abs(omega - s.w) < 1e-12
             assert abs(s.v_imag) <= 1e-9 * (1.0 + abs(s.v))
+
+
+def test_profile_on_an_array_matches_single_points(n3_standard):
+    ev = gz.PotentialEvaluator(n3_standard)
+    rng = np.random.default_rng(31)
+    xi = rng.uniform(-3, 3, (3, 4)) + 1j * rng.uniform(-3, 3, (3, 4))
+    for block in (1, 2, 3):
+        nu, omega = gz.soliton_profile(ev, block, xi, t=2.0)
+        assert nu.shape == omega.shape == xi.shape
+        assert nu.dtype == float and omega.dtype == complex
+        for i, j in np.ndindex(xi.shape):
+            nu_ij, omega_ij = gz.soliton_profile(ev, block, xi[i, j], t=2.0)
+            assert abs(nu[i, j] - nu_ij) <= 1e-15 * abs(nu_ij)
+            assert abs(omega[i, j] - omega_ij) <= 1e-15 * abs(omega_ij)
 
 
 def test_profile_block_range(n2_standard):

@@ -1,10 +1,17 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gzpot as gz
+import gzpot.potential
+import gzpot.verify
 
+from gzpot.potential import fields
 from gzpot.verify import _window_grid
 from oracles import nv_evolution_residual_fd
 
@@ -22,6 +29,38 @@ def test_residuals_vanish_for_valid_sets(n1_standard, n2_standard, n3_standard):
         assert report.constraint_residual <= 1e-10
         assert report.n_points == 40
         assert report.seed == 7
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seeds=st.lists(
+        st.tuples(
+            st.one_of(st.floats(1.1, 3.0), st.floats(0.15, 0.9)),
+            st.floats(0.0, 2.0 * math.pi),
+            st.floats(-1.0, 1.0),
+            st.floats(-1.0, 1.0),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    e=st.floats(0.5, 2.5),
+)
+def test_residuals_and_reality_over_random_valid_seeds(seeds, e):
+    # Acceptance criteria 1 and 2's bounds, on seeds drawn from the whole
+    # valid family rather than the fixtures.
+    lams = [rho * cmath.exp(1j * arg) for rho, arg, _, _ in seeds]
+    family = [m for lam in lams for m in (lam, -lam, 1 / lam.conjugate(), -1 / lam.conjugate())]
+    assume(all(abs(a - b) >= 0.01 for a, b in itertools.combinations(family, 2)))
+    ps = gz.expand_blocks(
+        e, [gz.BlockSeed(lam, complex(gr, gi)) for lam, (_, _, gr, gi) in zip(lams, seeds)]
+    )
+    ev = gz.PotentialEvaluator(ps)
+    points = gz.sample_points(20, seed=3)
+    v, _, _, _, v_imag = fields(ev, [p.z for p in points], [p.t for p in points])
+    assert np.all(np.abs(v_imag) <= 1e-9 * (1.0 + np.abs(v)))
+    report = gz.nv_residual(ev, points)
+    assert report.evolution_residual <= 1e-8
+    assert report.constraint_residual <= 1e-10
 
 
 def test_residual_report_json_fields(n1_standard):
@@ -172,6 +211,27 @@ def test_three_block_errors_nonincreasing_dyadic_times(n3_standard):
             assert all(a >= b for a, b in zip(table.errors_v, table.errors_v[1:]))
             assert all(a >= b for a, b in zip(table.errors_w, table.errors_w[1:]))
             assert all(a >= b for a, b in zip(table.probe_decay, table.probe_decay[1:]))
+
+
+def test_sweep_takes_its_profile_from_one_soliton_profile_call(n2_standard, monkeypatch):
+    # The block profile on the whole window comes from one soliton_profile
+    # call, which builds the sweep's only one-block evaluator.
+    built, windows = [], []
+    evaluator, profile = gzpot.potential.PotentialEvaluator, gzpot.verify.soliton_profile
+
+    def counting_evaluator(params):
+        built.append(params.n_blocks)
+        return evaluator(params)
+
+    def counting_profile(ev, block, xi, *args):
+        windows.append(np.shape(xi))
+        return profile(ev, block, xi, *args)
+
+    monkeypatch.setattr(gzpot.potential, "PotentialEvaluator", counting_evaluator)
+    monkeypatch.setattr(gzpot.verify, "soliton_profile", counting_profile)
+    gz.asymptotic_error_sweep(evaluator(n2_standard), 2, [10.0, 100.0], window_points=7)
+    assert built == [1]
+    assert windows == [_window_grid(3.0, 7).shape]
 
 
 @pytest.mark.parametrize("radius", [3.0, 1e150, 1e200])
