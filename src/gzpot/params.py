@@ -234,19 +234,31 @@ def velocity_spread(p: ParameterSet) -> float:
     return worst
 
 
-def _deltoid_implicit(u: complex) -> float:
-    """Implicit quartic of the forbidden-region boundary in u = c/E units.
+def _cusp_frame(u: complex) -> tuple[float, float]:
+    """(cos phi, sin phi) of the angle phi of u from its nearest cusp direction.
 
-    The boundary is the three-cusped curve phi -> 6(2 e^{-i phi} + e^{2 i phi})
+    The cusp directions are taken as the float multiples of 2pi/3, so
+    cmath.exp(2j * pi / 3) has phi = 0 and the bound 18E, although its exact
+    direction lies 2.2e-16 off the cusp.
+    """
+    third = 2.0 * math.pi / 3.0
+    phi = math.atan2(u.imag, u.real)  # an underflowing angle is 0; cmath.phase raises
+    phi -= third * round(phi / third)
+    return math.cos(phi), math.sin(phi)
+
+
+def _deltoid_implicit(r: float, cs: float, sn: float) -> float:
+    """Implicit quartic of the forbidden-region boundary at u = c/E = r e^{i phi}.
+
+    The boundary is the three-cusped curve p -> 6(2 e^{-i p} + e^{2 i p})
     (cusps at radius 18 in the directions 0, +-2pi/3, waists at radius 6 in
     between); it is the |lambda| -> 1 limit of the attainable velocities.
-    Negative inside, zero on the curve, positive outside.  It is written in
-    u - 18 after a turn towards the cusp at 18: along a cusp's axis it vanishes
-    to third order, which rounding hides in the plain form in x, y.
+    Negative inside, zero on the curve, positive outside.  phi is measured
+    from the nearest cusp (_cusp_frame) and the quartic written in u - 18:
+    along a cusp's axis it vanishes to third order, which rounding hides in
+    the plain form in x, y.
     """
-    k = round(cmath.phase(u) / (2.0 * math.pi / 3.0))
-    w = u * cmath.exp(-2j * math.pi * k / 3.0) - 18.0
-    d, y = w.real, w.imag
+    d, y = r * cs - 18.0, r * sn
     return (d * d + y * y) ** 2 + 24.0 * d * (d * d + 9.0 * y * y) + 3888.0 * y * y
 
 
@@ -264,16 +276,12 @@ def forbidden_region_contains(c: complex, energy: float) -> bool:
     """Whether velocity c admits no one-block travel wave (boundary included).
 
     True exactly when u = c/E lies inside or on the three-cusped boundary
-    curve; every velocity attained by a valid lambda lies strictly outside.
+    curve; every velocity attained by a valid lambda lies strictly outside,
+    and so does a c whose c/E overflows.
     """
     u = _checked_velocity(c, energy) / energy
-    if not cmath.isfinite(u):
-        raise ValueError(f"velocity c must be finite, got c/E = {u!r}")
-    return abs(u) <= 18.0 and _deltoid_implicit(u) <= 0.0  # cusps at |u| = 18
-
-
-def _boundary_point(phi_p: float) -> complex:
-    return 6.0 * (2.0 * cmath.exp(-1j * phi_p) + cmath.exp(2j * phi_p))
+    r = abs(u)
+    return r <= 18.0 and _deltoid_implicit(r, *_cusp_frame(u)) <= 0.0  # cusps at |u| = 18
 
 
 def forbidden_region_bound(c: complex, energy: float) -> float:
@@ -281,32 +289,20 @@ def forbidden_region_bound(c: complex, energy: float) -> float:
 
     Velocities c' with arg(c') = arg(c) are forbidden exactly for
     |c'| <= bound; the extent runs from 6E (waist directions +-pi/3, pi) to
-    18E (cusp directions 0, +-2pi/3).  Computed from the parametric boundary:
-    the region is star-shaped, and as the parameter runs over one arc between
-    cusps the polar angle of the boundary point sweeps one third of the turn
-    monotonically.  Only the direction of c matters, so a c/E that overflows
-    still has its bound.
+    18E (cusp directions 0, +-2pi/3, where it is exact).  The region is
+    star-shaped, so the bound bisects the radius on the sign of the same
+    quartic that forbidden_region_contains evaluates, and returns the smallest
+    radius found outside.  Only the direction of c matters, so a c/E that
+    overflows still has its bound.
     """
-    c = _checked_velocity(c, energy)
-    third = 2.0 * math.pi / 3.0
-    # Fold the target direction into the arc phi_p in [0, 2pi/3], on which
-    # arg(_boundary_point) decreases from 0 to -2pi/3 (the curve has a
-    # three-fold rotation symmetry).
-    target = math.atan2(c.imag, c.real)  # cmath.phase raises on an underflowing angle
-    target -= third * math.ceil(target / third)
-    # Bisect for arg(_boundary_point(p)) = target, with the phase in closed
-    # form: arg(2 e^{-ip} + e^{2ip}) = atan2(sin 2p - 2 sin p, 2 cos p + cos 2p).
-    lo, hi = 0.0, third
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        phase = math.atan2(
-            math.sin(2.0 * mid) - 2.0 * math.sin(mid), 2.0 * math.cos(mid) + math.cos(2.0 * mid)
-        )
-        if phase > target:
+    cs, sn = _cusp_frame(_checked_velocity(c, energy))
+    lo, hi = 6.0, 18.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _deltoid_implicit(mid, cs, sn) <= 0.0:
             lo = mid
         else:
             hi = mid
-    bound = energy * abs(_boundary_point(0.5 * (lo + hi)))
+    bound = energy * hi
     if not math.isfinite(bound):
         raise ValueError(f"the forbidden-region bound overflows for E={energy!r}")
     return bound
@@ -326,6 +322,8 @@ def solve_velocity_inverse(c: complex, energy: float) -> np.ndarray | None:
     if forbidden_region_contains(c, energy):
         return None
     u0 = complex(c) / (6.0 * energy)
+    if not cmath.isfinite(u0):
+        raise ValueError(f"velocity c={c!r} is too large for E={energy!r}: c/E overflows")
     r = min(np.roots([1.0, -u0, u0.conjugate(), -1.0]), key=lambda x: abs(abs(x) - 1.0))
     q = cmath.sqrt(r / abs(r))
     s = (q * (u0 - q * q)).real

@@ -421,7 +421,7 @@ def linear_system_fields(
     -6 i sqrt(E) lambda_j^-2 e_j.  Exists as a cross-check of eval_fields;
     v is returned as the complex trace without taking the real part.
     """
-    a = build_matrix(ev, point)
+    (a,) = ev.matrices(np.array([point.z]), np.array([point.t]))
     rcond = 1.0 / np.linalg.cond(a, 1)
     if not rcond >= NEAR_SINGULAR_RCOND:
         raise NearSingularError(point, float(abs(np.linalg.det(a))), float(rcond))

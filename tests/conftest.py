@@ -62,6 +62,7 @@ def near_singular_set():
     # off-diagonal part: the potential matrix is singular up to rounding there.
     base = gz.expand_blocks(1.0, [gz.BlockSeed(SQRT2, 1.0)])
     ev0 = gz.PotentialEvaluator(base)
-    off = gz.build_matrix(ev0, gz.SpacetimePoint(0.0, 0.0, 0.0)) + np.diag(base.gammas)
+    (a0,) = ev0.matrices(np.zeros(1, dtype=complex), np.zeros(1))
+    off = a0 + np.diag(base.gammas)
     mu = np.linalg.eigvals(off)[0]
     return gz.ParameterSet(1.0, base.lambdas, np.full(4, mu))

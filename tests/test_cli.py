@@ -308,6 +308,22 @@ def test_solve_velocity_forbidden_at_an_underflowing_angle(capsys):
     assert payload["bound"] == pytest.approx(18e300)
 
 
+def test_solve_velocity_forbidden_near_a_cusp_bound_covers_c(capsys):
+    # c lies 1e-11 short of the cusp tip at 18, on a ray 6e-302 off its axis.
+    code, out, err = run(capsys, "solve-velocity", "--E", "1", "--c", "17.99999999999,1e-300")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["status"] == "forbidden"
+    assert payload["bound"] >= payload["abs_c"]
+
+
+def test_solve_velocity_overflowing_c_over_e_exit_2(capsys):
+    # Outside the region, but c/E overflows, so no lambda set can be formed.
+    code, out, err = run(capsys, "solve-velocity", "--E", "1e-10", "--c", "1e308,0")
+    assert (code, out) == (2, "")
+    assert err == "error: velocity c=(1e+308+0j) is too large for E=1e-10: c/E overflows\n"
+
+
 # -- residual ----------------------------------------------------------------------
 
 

@@ -211,6 +211,38 @@ def test_forbidden_region_bound_needs_only_the_direction():
     assert gz.forbidden_region_bound(1e308, 1e-10) == pytest.approx(18e-10)
 
 
+def test_overflowing_c_over_e_lies_outside():
+    # c is finite, c/E overflows: |c/E| exceeds every radius of the region.
+    assert not gz.forbidden_region_contains(1e308, 1e-10)
+    assert not gz.forbidden_region_contains(1e308 + 1e308j, 1e-10)
+
+
+THIRD_TURN = 2.0 * math.pi / 3.0  # between neighbouring cusp directions
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    theta=st.one_of(
+        st.floats(-math.pi, math.pi),
+        # within 1e-300 .. 1e-9 on either side of a cusp direction 0, +-2pi/3
+        st.builds(
+            lambda k, side, exponent: k * THIRD_TURN + side * 10.0**exponent,
+            st.sampled_from((-1, 0, 1)),
+            st.sampled_from((-1.0, 1.0)),
+            st.floats(-300.0, -9.0),
+        ),
+    ),
+    e=st.floats(0.2, 4.0),
+)
+def test_forbidden_region_bound_is_where_membership_ends(theta, e):
+    # The bound and the membership test read one curve, so the ray through d
+    # leaves the region at the bound, also at the cusp tips.
+    d = complex(math.cos(theta), math.sin(theta))
+    b = gz.forbidden_region_bound(d, e)
+    assert gz.forbidden_region_contains(b * d * (1.0 - 1e-11), e)
+    assert not gz.forbidden_region_contains(b * d * (1.0 + 1e-11), e)
+
+
 def test_attained_velocities_never_forbidden():
     rng = np.random.default_rng(10)
     for _ in range(500):

@@ -250,7 +250,8 @@ def test_first_zbar_derivative_closed_form(n1_standard):
     ev = gz.PotentialEvaluator(n1_standard)
     pt = gz.SpacetimePoint(1.0, 1.0, 0.0)
     got = gz.log_det_derivative(ev, pt, ("zbar",))
-    closed = 0.5j * np.trace(np.linalg.inv(gz.build_matrix(ev, pt)))
+    (a,) = ev.matrices(np.array([pt.z]), np.array([pt.t]))
+    closed = 0.5j * np.trace(np.linalg.inv(a))
     assert abs(got - closed) < 1e-12
 
 
@@ -425,15 +426,10 @@ def test_eval_fields_far_field_decay_bounded(n2_standard):
             assert r * r * abs(s.w) < 1000.0
 
 
-def test_near_singular_evaluation_raises():
+def test_near_singular_evaluation_raises(near_singular_set):
     # Pathological gammas tuned so A(0, 0) is an eigen-shift of the constant
     # off-diagonal part: the evaluator must refuse rather than return garbage.
-    base = gz.expand_blocks(1.0, [gz.BlockSeed(SQRT2, 1.0)])
-    ev0 = gz.PotentialEvaluator(base)
-    off = gz.build_matrix(ev0, gz.SpacetimePoint(0.0, 0.0, 0.0)) + np.diag(base.gammas)
-    mu = np.linalg.eigvals(off)[0]
-    ps = gz.ParameterSet(1.0, base.lambdas, np.full(4, mu))
-    ev = gz.PotentialEvaluator(ps)
+    ev = gz.PotentialEvaluator(near_singular_set)
     with pytest.raises(gz.EvaluationError):
         gz.eval_fields(ev, gz.SpacetimePoint(0.0, 0.0, 0.0))
 

@@ -11,7 +11,7 @@ import gzpot as gz
 import gzpot.potential
 import gzpot.verify
 
-from gzpot.potential import fields
+from gzpot.potential import fields, potentials
 from gzpot.verify import _window_grid
 from oracles import nv_evolution_residual_fd
 
@@ -31,30 +31,35 @@ def test_residuals_vanish_for_valid_sets(n1_standard, n2_standard, n3_standard):
         assert report.seed == 7
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    seeds=st.lists(
-        st.tuples(
-            st.one_of(st.floats(1.1, 3.0), st.floats(0.15, 0.9)),
-            st.floats(0.0, 2.0 * math.pi),
-            st.floats(-1.0, 1.0),
-            st.floats(-1.0, 1.0),
-        ),
-        min_size=1,
-        max_size=3,
+# 1-3 block seeds (|lambda|, arg lambda, re gamma, im gamma) from the whole valid family
+VALID_SEEDS = st.lists(
+    st.tuples(
+        st.one_of(st.floats(1.1, 3.0), st.floats(0.15, 0.9)),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(-1.0, 1.0),
+        st.floats(-1.0, 1.0),
     ),
-    e=st.floats(0.5, 2.5),
+    min_size=1,
+    max_size=3,
 )
-def test_residuals_and_reality_over_random_valid_seeds(seeds, e):
-    # Acceptance criteria 1 and 2's bounds, on seeds drawn from the whole
-    # valid family rather than the fixtures.
+
+
+def expand_valid_seeds(seeds, e):
+    """The parameter set of the drawn seeds; draws whose lambdas nearly collide are skipped."""
     lams = [rho * cmath.exp(1j * arg) for rho, arg, _, _ in seeds]
     family = [m for lam in lams for m in (lam, -lam, 1 / lam.conjugate(), -1 / lam.conjugate())]
     assume(all(abs(a - b) >= 0.01 for a, b in itertools.combinations(family, 2)))
-    ps = gz.expand_blocks(
+    return gz.expand_blocks(
         e, [gz.BlockSeed(lam, complex(gr, gi)) for lam, (_, _, gr, gi) in zip(lams, seeds)]
     )
-    ev = gz.PotentialEvaluator(ps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seeds=VALID_SEEDS, e=st.floats(0.5, 2.5))
+def test_residuals_and_reality_over_random_valid_seeds(seeds, e):
+    # Acceptance criteria 1 and 2's bounds, on seeds drawn from the whole
+    # valid family rather than the fixtures.
+    ev = gz.PotentialEvaluator(expand_valid_seeds(seeds, e))
     points = gz.sample_points(20, seed=3)
     v, _, _, _, v_imag = fields(ev, [p.z for p in points], [p.t for p in points])
     assert np.all(np.abs(v_imag) <= 1e-9 * (1.0 + np.abs(v)))
@@ -155,6 +160,26 @@ def test_translated_parameters_shift_the_fields(n2_standard):
             b = gz.eval_fields(ev, gz.SpacetimePoint.from_z(pt.z + zeta, pt.t + tau))
             assert abs(a.v - b.v) <= 1e-9 * (1.0 + abs(b.v))
             assert abs(a.w - b.w) <= 1e-9 * (1.0 + abs(b.w))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seeds=VALID_SEEDS,
+    e=st.floats(0.5, 2.5),
+    zeta=st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    tau=st.floats(-1.0, 1.0),
+)
+def test_translation_covariance_over_random_valid_seeds(seeds, e, zeta, tau):
+    # v~(z, t) = v(z + zeta, t + tau) and likewise for w, within acceptance
+    # criterion 8's tolerance, on seeds drawn from the whole valid family.
+    ps = expand_valid_seeds(seeds, e)
+    points = gz.sample_points(20, seed=3)
+    z = np.array([p.z for p in points])
+    t = np.array([p.t for p in points])
+    v, w = potentials(gz.PotentialEvaluator(gz.translate_gammas(ps, zeta, tau)), z, t)
+    v0, w0 = potentials(gz.PotentialEvaluator(ps), z + zeta, t + tau)
+    assert np.all(np.abs(v - v0) <= 1e-9 * (1.0 + np.abs(v0)))
+    assert np.all(np.abs(w - w0) <= 1e-9 * (1.0 + np.abs(w0)))
 
 
 # -- large-time splitting --------------------------------------------------------
