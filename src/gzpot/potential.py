@@ -23,13 +23,20 @@ v is real up to rounding; the imaginary part is kept as a diagnostic.
 Every evaluation goes through one batched kernel, log_det_partials.  It
 inverts A stacked over many points and, as every D is diagonal, contracts each
 trace as tr(L D_a R D_b) = sum_ij (L o R^T)_ij b_i a_j, with L, R the
-sandwiches X D_d1 X ... D_dk X of its two halves.  Each sandwich costs one
-stacked product, so of the rotations of each trace the plan takes one whose
-halves reuse sandwiches already planned: the eight partials behind the
-equation residuals need three products, S(z), S(zbar) and S(z, zbar).  Each
-pair is contracted only against the keys it feeds.  |det A| is only the
-exponential of the order-0 partial, the key () for ln|det A|: only callers
-that read it ask for it, and without it no slogdet is taken.
+sandwiches X D_d1 X ... D_dk X of its two halves, one stacked product each.
+The plan takes the traces in key order, each at the rotation whose halves
+reuse sandwiches already planned, and lists the products it needs: the eight
+residual partials need S(z), S(zbar), S(z, zbar) and four pairs, each
+contracted only against the keys it feeds.  |det A| is the exponential of
+the order-0 partial, the key () for ln|det A|: only callers that read it ask
+for it, and without it no slogdet is taken.
+
+For a valid set A is never singular.  With sigma swapping 4k <-> 4k+2 and
+4k+1 <-> 4k+3 (lambda <-> 1/conj(lambda)), H = diag(1/conj(lambda)) P_sigma A
+is Hermitian at every real (z, t) and quasi-definite (Vanderbei 1995): the
+constant Pick matrix 1/(1 - conj(lambda_l) lambda_m) on |lambda| < 1, a
+constant negative definite block on |lambda| > 1, inertia (2N, 2N).  So exit
+4 on a validated set is always numerical.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ParameterSet, diagonal_coefficients, velocity
+from .params import ParameterSet, diagonal_coefficients
 
 DIRECTIONS = ("z", "zbar", "t")
 MAX_DERIVATIVE_ORDER = 5
@@ -170,13 +177,14 @@ class PotentialEvaluator:
         return m
 
     def _plan(self, keys: tuple[tuple[str, ...], ...]):
-        """How _contract evaluates keys: ((left, right), rows, weights) per pair
-        of sandwiches S(d1..dk) = X D_d1 X ... D_dk X named by directions (None:
-        all ones), rows the key columns it feeds (a slice if all of them),
-        weights (len(rows), n * n) the conjugated boundary diagonals."""
+        """How _contract evaluates keys: (builds, pairs), builds the sandwiches
+        S(d1..dk) = X D_d1 X ... D_dk X named by directions, prefixes first, and
+        pairs ((left, right), rows, weights), None naming all ones, rows the key
+        columns fed (a slice if all), weights the conjugated boundary diagonals."""
         if keys not in self._plans:
+            builds, pairs = _pair_terms(keys)
             plan = []
-            for pair, rows, terms in _pair_terms(keys):
+            for pair, rows, terms in pairs:
                 w = np.zeros((len(rows), self.size**2), complex)
                 for r, a, b, coeff in terms:
                     if b is None:  # tr(X Da) = sum_ij (X o 1)_ij diag(a)_ij
@@ -185,7 +193,7 @@ class PotentialEvaluator:
                         wa = np.multiply.outer(self._diag[b], self._diag[a])
                     w[r] += coeff * wa.ravel().conj()
                 plan.append((pair, slice(None) if len(rows) == len(keys) else np.array(rows), w))
-            self._plans[keys] = tuple(plan)
+            self._plans[keys] = builds, tuple(plan)
         return self._plans[keys]
 
 
@@ -209,14 +217,13 @@ def _canonical_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
     return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
 
 
-@lru_cache(maxsize=None)
 def _trace_terms(idx_key: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], int], ...]:
     """Signed trace monomials of the mixed partial of ln det A.
 
     Each monomial (cycle, coeff) stands for coeff * tr(prod_i A^-1 D_{cycle_i}).
     As d(A^-1) = -A^-1 D A^-1 inserts each new direction at every place of a
     cycle, F_{a1..ak} = (-1)^(k-1) * sum over the orderings p of a2..ak of
-    tr(X D_a1 X D_p1 ... X D_p(k-1)), X = A^-1.  Keyed by the sorted multiset:
+    tr(X D_a1 X D_p1 ... X D_p(k-1)), X = A^-1.  idx_key is the sorted multiset:
     mixed partials commute.
     """
     sign = (-1) ** (len(idx_key) - 1)
@@ -238,38 +245,40 @@ def _prefixes(cycle: tuple[str, ...]) -> set:
 
 @lru_cache(maxsize=None)
 def _pair_terms(keys: tuple[tuple[str, ...], ...]) -> tuple:
-    """The keys' trace monomials grouped by sandwich pair: ((left, right),
-    rows, terms) with rows the keys the pair feeds and terms (r, a, b, coeff)
-    for the r-th of them (b None at order 1: the pair (X, all ones)).
+    """(builds, pairs) for the keys.  pairs holds their trace monomials grouped
+    by sandwich pair, ((left, right), rows, terms) with rows the keys the pair
+    feeds and terms (r, a, b, coeff) for the r-th of them (b None at order 1:
+    the pair (X, all ones)); builds the sandwiches they read, prefixes first.
 
-    A trace may start at any rotation of its cycle.  The longest cycles are
-    placed first, each at the rotation needing the fewest sandwiches not yet
-    planned, then the one whose right half has the most distinct directions,
-    then the least; so the eight residual keys need S(z), S(zbar), S(z,zbar).
+    A trace may start at any rotation of its cycle.  In key order, each cycle
+    is placed at the rotation needing the fewest sandwiches not yet planned,
+    then the one whose right half has the most distinct directions, then the
+    least; so the eight residual keys need S(z), S(zbar), S(z, zbar) and four
+    pairs, one weight row per key.
     """
     planned = set()
     pairs = defaultdict(list)
-    monomials = [(cycle, coeff, k) for k, key in enumerate(keys) for cycle, coeff in _trace_terms(key)]
-    for cycle, coeff, k in sorted(monomials, key=lambda m: -len(m[0])):
-        if len(cycle) == 1:
-            pairs[(), None].append((k, cycle[0], None, coeff))
-            continue
-        rotations = {cycle[i:] + cycle[:i] for i in range(len(cycle))}
-        cycle = min(
-            rotations,
-            key=lambda c: (len(_prefixes(c) - planned), -len(set(_halves(c)[2])), c),
-        )
-        planned |= _prefixes(cycle)
-        left, a, right, b = _halves(cycle)
-        if right < left:  # tr(L Da R Db) = tr(R Db L Da): one order per pair
-            left, a, right, b = right, b, left, a
-        pairs[left, right].append((k, a, b, coeff))
+    for k, key in enumerate(keys):
+        for cycle, coeff in _trace_terms(key):
+            if len(cycle) == 1:
+                pairs[(), None].append((k, cycle[0], None, coeff))
+                continue
+            rotations = {cycle[i:] + cycle[:i] for i in range(len(cycle))}
+            cycle = min(
+                rotations,
+                key=lambda c: (len(_prefixes(c) - planned), -len(set(_halves(c)[2])), c),
+            )
+            planned |= _prefixes(cycle)
+            left, a, right, b = _halves(cycle)
+            if right < left:  # tr(L Da R Db) = tr(R Db L Da): one order per pair
+                left, a, right, b = right, b, left, a
+            pairs[left, right].append((k, a, b, coeff))
     grouped = []
     for pair, terms in pairs.items():
         rows = sorted({k for k, *_ in terms})
         terms = tuple((rows.index(k), *rest) for k, *rest in terms)
         grouped.append((pair, tuple(rows), terms))
-    return tuple(grouped)
+    return tuple(sorted(planned, key=lambda d: (len(d), d))), tuple(grouped)
 
 
 def _contract(
@@ -278,21 +287,13 @@ def _contract(
     """Add the trace sums of the K keys against the stacked inverses ainv
     (P, n, n) into out (P, K)."""
     p, n, _ = ainv.shape
+    builds, pairs = ev._plan(keys)
     sandwiches = {(): ainv, None: _ALL_ONES}
-
-    def sandwich(dirs: tuple[str, ...] | None) -> np.ndarray:
-        # S(d1..dk) = S(d1..dk-1) D_dk X: one stacked product per new prefix.
-        # A loop, not recursion: a closure that calls itself is a reference
-        # cycle, which would hold every sandwich until the next gc pass.
-        for k in range(len(dirs or ())):
-            if dirs[: k + 1] not in sandwiches:
-                head = sandwiches[dirs[:k]] * ev.direction_diagonal(dirs[k])
-                sandwiches[dirs[: k + 1]] = head @ ainv
-        return sandwiches[dirs]
-
-    for (left, right), rows, weights in ev._plan(keys):
+    for d in builds:  # S(d1..dk) = S(d1..dk-1) D_dk X: one stacked product each
+        sandwiches[d] = (sandwiches[d[:-1]] * ev.direction_diagonal(d[-1])) @ ainv
+    for (left, right), rows, weights in pairs:
         # One Hadamard product per pair; vecdot conjugates the weights back.
-        h = sandwich(left) * sandwich(right).transpose(0, 2, 1)
+        h = sandwiches[left] * sandwiches[right].transpose(0, 2, 1)
         out[:, rows] += np.vecdot(weights, h.reshape(p, 1, n * n))
 
 
@@ -437,17 +438,15 @@ def linear_system_fields(
     return complex(v), complex(w)
 
 
-def soliton_profile(ev: PotentialEvaluator, block: int, xi, t: float = 0.0):
+def soliton_profile(ev: PotentialEvaluator, block: int, xi):
     """Travel-wave profile (nu_k, omega_k) of one block at profile coordinates xi.
 
-    Built from the 4x4 diagonal subblock of A, block k's own one-block set,
-    evaluated at z = xi + c_k t; the block depends on (z, t) only through
-    z - c_k t, so the result does not depend on t (up to rounding).  For N = 1
-    this reproduces v, w themselves.  xi is a number or an array, and nu,
-    omega come back shaped like it.
+    The fields of block k's own one-block set, the 4x4 diagonal subblock of A,
+    at (xi, 0), which are its fields at (xi + c_k t, t) for every t; for N = 1,
+    v and w themselves.  xi is a number or an array, and nu, omega come back
+    shaped like it.
     """
     bev = PotentialEvaluator(ParameterSet(ev.params.energy, *ev.params.block(block)))
     xi = np.asarray(xi, dtype=complex)
-    z = xi + velocity(bev.params.lambdas[0], bev.params.energy) * t
-    nu, omega = potentials(bev, z, np.full(z.size, float(t)))
+    nu, omega = potentials(bev, xi, np.zeros(xi.size))
     return nu.reshape(xi.shape)[()], omega.reshape(xi.shape)[()]

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's evaluation kernel:
 matrices are assembled entry by entry, determinants come from
 numpy.linalg.slogdet or det, the fields come from one point at a time by
 explicit products, and derivatives come from central finite differences with
-one Richardson extrapolation level.
+one Richardson extrapolation level, or from the trace words of a partial in
+float64 or, through mpmath, at 30 or more significant digits.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -70,18 +72,66 @@ def word_logdet_derivative(ps, zv, t, idx):
     kept one by one, with no cycle canonicalisation, and each is evaluated as
     a full product of the loop-form matrix's inverse and the diagonals.
     """
-    words = [(1, (idx[0],))]
-    for b in idx[1:]:
-        words = [(-sign, w[:i] + (b,) + w[i:]) for sign, w in words for i in range(len(w))]
     ainv = np.linalg.inv(oracle_matrix(ps, zv, zv.conjugate(), t))
     factors = {d: ainv @ np.diag(diag) for d, diag in direction_diagonals(ps).items()}
     total = 0j
-    for sign, w in words:
+    for sign, w in _words(idx):
         prod = np.eye(ainv.shape[0], dtype=complex)
         for d in w:
             prod = prod @ factors[d]
         total += sign * np.trace(prod)
     return total
+
+
+def _words(idx):
+    # The signed words of the partial idx: d_a is the word (a), and each further
+    # direction b inserts -b before each letter in turn.
+    words = [(1, (idx[0],))]
+    for b in idx[1:]:
+        words = [(-sign, w[:i] + (b,) + w[i:]) for sign, w in words for i in range(len(w))]
+    return words
+
+
+def mp_logdet_derivative(ps, zv, t, idx, dps=30):
+    """word_logdet_derivative in mpmath arithmetic at dps significant digits.
+
+    The matrix is assembled from the entry formulas of the float parameters,
+    inverted by mpmath, and each word is a product of full mpmath matrices;
+    products are kept per word prefix, so words sharing one reuse it.
+    """
+    with mpmath.workdps(dps):
+        lam = [mpmath.mpc(complex(x)) for x in ps.lambdas]
+        gam = [mpmath.mpc(complex(x)) for x in ps.gammas]
+        se = mpmath.sqrt(mpmath.mpf(float(ps.energy)))
+        zv, t = mpmath.mpc(complex(zv)), mpmath.mpf(float(t))
+        n = len(lam)
+        diags = {
+            "z": [-0.5j * se / x**2 for x in lam],
+            "zbar": [0.5j * se] * n,
+            "t": [-3j * se**3 * (x**2 - 1 / x**4) for x in lam],
+        }
+        a = mpmath.matrix(n, n)
+        for l in range(n):
+            for m in range(n):
+                if l == m:
+                    a[l, m] = (
+                        0.5j * se * (mpmath.conj(zv) - zv / lam[l] ** 2)
+                        - 3j * se**3 * t * (lam[l] ** 2 - 1 / lam[l] ** 4)
+                        - gam[l]
+                    )
+                else:
+                    a[l, m] = 1 / (lam[l] - lam[m])
+        ainv = a**-1
+        factors = {d: ainv * mpmath.diag(diag) for d, diag in diags.items()}
+        prefixes = {(): mpmath.eye(n)}
+        total = mpmath.mpc(0)
+        for sign, w in _words(tuple(idx)):
+            for k in range(1, len(w) + 1):
+                if w[:k] not in prefixes:
+                    prefixes[w[:k]] = prefixes[w[: k - 1]] * factors[w[k - 1]]
+            prod = prefixes[w]
+            total += sign * sum(prod[i, i] for i in range(n))
+        return complex(total)
 
 
 def _logdet_ratio(ps, p1, p2):
