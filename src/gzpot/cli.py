@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -134,10 +135,12 @@ def cmd_eval(args) -> int:
     z = np.empty(x1.size, dtype=complex)
     z.real, z.imag = x1, x2
     v, w, absdet, _, _ = pot.fields(pot.PotentialEvaluator(ps), z, np.full(z.size, args.t))
-    row = ",".join(["{:.17g}"] * 6).format
-    columns = (x1, x2, v, w.real, w.imag, absdet)
+    row = ",".join(["{}", "{}"] + ["{:.17g}"] * 4).format
+    # Each axis value is formatted once: row-major product order is x1's repeat, x2's tile.
+    axes = itertools.product(*([f"{x:.17g}" for x in xs.tolist()] for xs in (x1s, x2s)))
+    columns = (v, w.real, w.imag, absdet)
     lines = ["x1,x2,v,w_re,w_im,absdet"]
-    lines.extend(row(*vals) for vals in zip(*(col.tolist() for col in columns)))
+    lines.extend(row(*xs, *vals) for xs, vals in zip(axes, zip(*(c.tolist() for c in columns))))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

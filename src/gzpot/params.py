@@ -168,10 +168,11 @@ def validate(p: ParameterSet) -> ValidationReport:
             v.append(f"lambda[{j + 1}] is zero within tolerance")
         if abs(abs(lam[j]) - 1.0) < UNIT_MODULUS_TOL:
             v.append(f"|lambda[{j + 1}]| = 1 within tolerance")
-    for l in range(n4):
-        for m in range(l + 1, n4):
-            if abs(lam[l] - lam[m]) <= DISTINCT_LAMBDA_TOL * max(1.0, abs(lam[l])):
-                v.append(f"lambda[{l + 1}] and lambda[{m + 1}] coincide")
+    tol = DISTINCT_LAMBDA_TOL * np.maximum(1.0, np.abs(lam))
+    close = np.nonzero(np.abs(lam[:, None] - lam) <= tol[:, None])  # row-major order
+    for l, m in zip(*(i.tolist() for i in close)):
+        if l < m:
+            v.append(f"lambda[{l + 1}] and lambda[{m + 1}] coincide")
 
     # Pair constraints, j = 1..2N (1-based pairs (2j-1, 2j)).
     for i in range(n4 // 2):
@@ -315,24 +316,29 @@ def solve_velocity_inverse(c: complex, energy: float) -> np.ndarray | None:
     canonically ordered set otherwise.  With lam = rho e^{i theta},
     q = e^{2 i theta} and s = rho^2 + 1/rho^2 > 2, c/(6E) = u0 = s conj(q) + q^2,
     so s = u0 q - q^3 is real and r = q^2 is the one unit-modulus root of
-    r^3 - u0 r^2 + conj(u0) r - 1 (the others are a pair r, 1/conj(r)).  Raises
+    r^3 - u0 r^2 + conj(u0) r - 1 (the others are a pair r, 1/conj(r)).  u0, s
+    are in units of 2^k, k even and > 0 only if |c/E| > ~2^512, where the unit
+    root, conj(u0)/u0 up to O(1/|u0|), is the scaled cubic's too.  Raises
     VelocityInverseError if s <= 2 after rounding, ValueError for non-finite
-    input or an overflow.
+    input or an overflowing lambda.
     """
     if forbidden_region_contains(c, energy):
         return None
-    u0 = complex(c) / (6.0 * energy)
-    if not cmath.isfinite(u0):
-        raise ValueError(f"velocity c={c!r} is too large for E={energy!r}: c/E overflows")
+    re, im = complex(c).real, complex(c).imag
+    k = max(0, math.frexp(max(abs(re), abs(im)))[1] - math.frexp(energy)[1] - 512) & -2
+    one = 2.0**-k  # 1 in units of 2^k; 0 beyond the float range, where it is negligible
+    u0 = complex(math.ldexp(re, -k), math.ldexp(im, -k)) / (6.0 * energy)
     r = min(np.roots([1.0, -u0, u0.conjugate(), -1.0]), key=lambda x: abs(abs(x) - 1.0))
     q = cmath.sqrt(r / abs(r))
-    s = (q * (u0 - q * q)).real
+    s = (q * (u0 - q * q * one)).real
     q, s = (q, s) if s > 0.0 else (-q, -s)
-    if not s > 2.0:
+    if not s > 2.0 * one:
         raise VelocityInverseError(
             f"velocity c={c!r} lies within rounding of the forbidden boundary for E={energy!r}"
         )
-    lam = math.sqrt(0.5 * (s + math.sqrt(s - 2.0) * math.sqrt(s + 2.0))) * cmath.sqrt(q)
+    # 0.5 s + ... rather than 0.5 (s + ...): the sum overflows once s nears 9e307.
+    rho = math.sqrt(0.5 * s + 0.5 * math.sqrt(s - 2.0 * one) * math.sqrt(s + 2.0 * one))
+    lam = rho * 2.0 ** (k // 2) * cmath.sqrt(q)
     if not cmath.isfinite(lam):
         raise ValueError(f"velocity c={c!r} is too large for E={energy!r}: lambda overflows")
     mirror = 1.0 / lam.conjugate()

@@ -21,9 +21,10 @@ products X D_a1 X D_a2 ..., X = A^-1, generated once per derivative multiset.
 v is real up to rounding; the imaginary part is kept as a diagnostic.
 
 Every evaluation goes through one batched kernel, log_det_partials.  It
-inverts A stacked over many points and, as every D is diagonal, contracts each
-trace as tr(L D_a R D_b) = sum_ij (L o R^T)_ij b_i a_j, with L, R the
-sandwiches X D_d1 X ... D_dk X of its two halves, one stacked product each.
+inverts A stacked over chunks of points sized to one core's L2 cache and, as
+every D is diagonal, contracts each trace as tr(L D_a R D_b) =
+sum_ij (L o R^T)_ij b_i a_j, with L, R the sandwiches X D_d1 X ... D_dk X of
+its two halves, one stacked product each.
 The plan takes the traces in key order, each at the rotation whose halves
 reuse sandwiches already planned, and lists the products it needs: the eight
 residual partials need S(z), S(zbar), S(z, zbar) and four pairs, each
@@ -56,10 +57,12 @@ DIRECTIONS = ("z", "zbar", "t")
 MAX_DERIVATIVE_ORDER = 5
 # Reciprocal-condition threshold below which evaluation refuses to proceed.
 NEAR_SINGULAR_RCOND = 1e-12
-# Matrix entries per chunk of the batched kernel: bounds the stacked
-# (P, n, n) work arrays, so that peak memory does not grow with the number of
-# points, while a chunk still holds enough points to amortise each call.
-CHUNK_ELEMENTS = 1 << 16
+# Matrix entries per chunk of the batched kernel.  A chunk keeps about eight
+# complex (P, n, n) stacks live (A, A^-1, three sandwiches, a scaled temporary,
+# a Hadamard product, |A^-1|), so 2^14 entries of 16 bytes bound its working
+# set near 2 MiB, the L2 of one core: the contraction runs from cache, and
+# peak memory does not grow with the number of points.
+CHUNK_ELEMENTS = 1 << 14
 _ALL_ONES = np.ones((1, 1, 1))  # the all-ones sandwich of the first order, broadcast
 
 
@@ -127,7 +130,8 @@ class FieldSample:
     v_imag is the imaginary part discarded when taking v real; for a
     constraint-satisfying parameter set it is rounding noise.
     cond_estimate is the exact 1-norm condition number of the potential
-    matrix, ||A||_1 ||A^-1||_1 from its inverse.
+    matrix, ||A||_1 ||A^-1||_1, with ||A||_1 in O(n) from the diagonal, the
+    only part of A that varies.
     """
 
     v: float
@@ -156,7 +160,8 @@ class PotentialEvaluator:
         off = 1.0 / diff
         np.fill_diagonal(off, 0.0)
         self._offdiag = off
-        for arr in (*self._diag.values(), off):
+        self._offdiag_colsum = np.abs(off).sum(axis=0)  # ||A||_1 adds |A_mm| to these
+        for arr in (*self._diag.values(), off, self._offdiag_colsum):
             arr.setflags(write=False)
         self._plans: dict = {}  # per key set; any two builds of a plan are equal
 
@@ -341,9 +346,10 @@ def log_det_partials(
         hi = lo + step
         a = ev.matrices(z[lo:hi], t[lo:hi])
         ainv, singular = _inverse(a)
-        # 1-norms: the largest column sums of moduli.
+        # 1-norms, the largest column sums of moduli; only the diagonal of A varies.
+        diag = np.abs(a.reshape(len(a), -1)[:, :: ev.size + 1])
         c = cond[lo:hi] = (
-            np.abs(a).sum(axis=1).max(axis=1) * np.abs(ainv).sum(axis=1).max(axis=1)
+            (ev._offdiag_colsum + diag).max(axis=1) * np.abs(ainv).sum(axis=1).max(axis=1)
         )
         bad = ~(c <= 1.0 / NEAR_SINGULAR_RCOND) | singular  # NaN is bad
         if bad.any():

@@ -287,7 +287,7 @@ def test_solve_velocity_near_unit_modulus_exit_0(capsys):
         ("--E", "1", "--c", "nan,0"),
         ("--E", "nan", "--c", "21,0"),
         ("--E", "inf", "--c", "1,0"),
-        ("--E", "1e-300", "--c", "1e9,0"),
+        ("--E", "5e-324", "--c", "1e308,0"),
         ("--E", "1.7e308", "--c", "1.7e308,1.7e308"),
     ],
     ids=lambda argv: " ".join(argv),
@@ -317,11 +317,21 @@ def test_solve_velocity_forbidden_near_a_cusp_bound_covers_c(capsys):
     assert payload["bound"] >= payload["abs_c"]
 
 
-def test_solve_velocity_overflowing_c_over_e_exit_2(capsys):
-    # Outside the region, but c/E overflows, so no lambda set can be formed.
-    code, out, err = run(capsys, "solve-velocity", "--E", "1e-10", "--c", "1e308,0")
-    assert (code, out) == (2, "")
-    assert err == "error: velocity c=(1e+308+0j) is too large for E=1e-10: c/E overflows\n"
+@pytest.mark.parametrize(
+    "e, c, modulus",
+    [
+        pytest.param("1e-10", "1e308,0", 4.08248290463863e158, id="c_over_E_overflows"),
+        pytest.param("1e-300", "1e9,0", 1.2909944487358056e154, id="s_near_float_limit"),
+    ],
+)
+def test_solve_velocity_at_the_float_limit(capsys, e, c, modulus):
+    # c/E overflows (first) or s nears the float limit (second); lambda does not.
+    code, out, err = run(capsys, "solve-velocity", "--E", e, "--c", c)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["status"] == "ok"
+    lam = complex(*payload["lambdas"][0])
+    assert abs(lam - modulus) <= 1e-14 * modulus
 
 
 # -- residual ----------------------------------------------------------------------

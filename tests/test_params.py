@@ -1,13 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gzpot as gz
-from gzpot.params import CONSTRAINT_RTOL
+from gzpot.params import CONSTRAINT_RTOL, DISTINCT_LAMBDA_TOL
 
 SQRT2 = math.sqrt(2.0)
 
@@ -111,6 +112,24 @@ def test_validate_names_conjugation_break(n1_standard):
     gam[2] += 0.01
     report = gz.validate(gz.ParameterSet(1.0, n1_standard.lambdas, gam))
     assert any(v.startswith("gamma[3] = conj(lambda[1])^2") for v in report.violations)
+
+
+def test_validate_reports_coincidences_in_pair_order():
+    # Several coincidences per set, some within and some just beyond the
+    # tolerance, which scales with the first lambda of a pair.
+    rng = np.random.default_rng(12)
+    pool = np.array([1.5, -1.5, 2j, 1e3 + 1e3j, 0.3 - 0.2j])
+    for _ in range(20):
+        lam = rng.choice(pool, 24) * (1.0 + rng.choice([0.0, 5e-10, 2e-9], 24))
+        expected = [
+            f"lambda[{l + 1}] and lambda[{m + 1}] coincide"
+            for l in range(lam.size)
+            for m in range(l + 1, lam.size)
+            if abs(lam[l] - lam[m]) <= DISTINCT_LAMBDA_TOL * max(1.0, abs(lam[l]))
+        ]
+        report = gz.validate(gz.ParameterSet(1.0, lam, np.zeros(lam.size)))
+        assert len(expected) >= 3
+        assert [v for v in report.violations if v.endswith("coincide")] == expected
 
 
 def test_parameter_set_shape_checks():
@@ -292,6 +311,30 @@ def test_solve_velocity_inverse_huge_velocity_roundtrip(c, e):
         assert abs(abs(got[0]) - math.sqrt(c / (6.0 * e))) <= 1e-12 * abs(got[0])
         for lam in got:
             assert abs(gz.velocity(lam, e) - c * phase) <= 1e-14 * c
+
+
+def mp_velocity(lam, e):
+    """velocity(lam, e) at 40 digits, where the float64 one overflows."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpc(lam)
+        bar = mpmath.conj(lam)
+        return 6 * mpmath.mpf(e) * (bar**2 + 1 / lam**2 + lam**2 / bar**2)
+
+
+@pytest.mark.parametrize(
+    "c, e",
+    [pytest.param(1e308, 1e-10, id="c_over_E_overflows"), pytest.param(1e9, 1e-300, id="s_near_float_limit")],
+)
+def test_solve_velocity_inverse_at_the_float_limit(c, e):
+    # Yet lambda, about sqrt(|c| / 6E), lies well inside the float range.
+    with mpmath.workdps(40):
+        modulus = float(mpmath.sqrt(mpmath.mpf(c) / (6 * mpmath.mpf(e))))
+    for phase in (1.0, 1j, cmath.exp(0.7j)):
+        got = gz.solve_velocity_inverse(c * phase, e)
+        assert got is not None and np.isfinite(got).all()
+        assert abs(abs(got[0]) - modulus) <= 1e-15 * modulus
+        for lam in got:
+            assert abs(mp_velocity(lam, e) - c * phase) <= 1e-15 * c
 
 
 def set_distance(got, lam):

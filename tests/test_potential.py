@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import gzpot as gz
+from gzpot import potential
 from gzpot.potential import CHUNK_ELEMENTS, NEAR_SINGULAR_RCOND, fields, log_det_partials
+from gzpot.verify import _RESIDUAL_KEYS
 
 from oracles import (
     fd_logdet_derivative,
@@ -133,6 +135,30 @@ def test_batch_raises_at_first_near_singular_point(near_singular_set):
         fields(ev, z, t)
     assert err.value.point == gz.SpacetimePoint(2e-15, 0.0, 0.0)
     assert err.value.rcond < NEAR_SINGULAR_RCOND
+
+
+def test_chunk_size_changes_no_bit_of_the_results(n3_standard, near_singular_set, monkeypatch):
+    # Chunks of one point, of several, of the default size and one chunk for all.
+    ev = gz.PotentialEvaluator(n3_standard)
+    z, t = _points(150, seed=8)
+    bad_ev = gz.PotentialEvaluator(near_singular_set)
+    bad_z, bad_t = _points(CHUNK_ELEMENTS // bad_ev.size**2 + 10, seed=9)
+    first = bad_z.size - 6  # in the last chunk but at the largest size
+    bad_z[first], bad_t[first] = 2e-15, 0.0
+    bad_z[-2], bad_t[-2] = 0.0, 0.0
+    key_sets = (((), potential.KEY_V, potential.KEY_W), _RESIDUAL_KEYS)  # eval, residual
+    results = []
+    for elements in (1, 1 << 10, CHUNK_ELEMENTS, 1 << 22):
+        monkeypatch.setattr(potential, "CHUNK_ELEMENTS", elements)
+        results.append([log_det_partials(ev, z, t, keys) for keys in key_sets])
+        with pytest.raises(gz.NearSingularError) as err:
+            fields(bad_ev, bad_z, bad_t)
+        assert err.value.point == gz.SpacetimePoint(2e-15, 0.0, 0.0), elements
+    for other in results[1:]:
+        for (der, cond), (ref, ref_cond) in zip(other, results[0]):
+            assert np.array_equal(cond, ref_cond)
+            assert der.keys() == ref.keys()
+            assert all(np.array_equal(der[key], ref[key]) for key in ref)
 
 
 def test_exactly_singular_matrix_raises(n1_standard, monkeypatch):
@@ -403,7 +429,8 @@ def test_eval_fields_reality_and_diagnostics(n3_standard):
         s = gz.eval_fields(ev, pt)
         assert abs(s.v_imag) <= 1e-9 * (1.0 + abs(s.v))
         assert s.absdet > 0
-        assert s.cond_estimate >= 1.0
+        cond = np.linalg.cond(gz.build_matrix(ev, pt), 1)
+        assert s.cond_estimate == pytest.approx(cond, rel=1e-13)
 
 
 def test_eval_fields_matches_linear_system_path(n2_standard):
