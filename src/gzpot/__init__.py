@@ -29,7 +29,6 @@ from .potential import (
     FieldSample,
     NearSingularError,
     PotentialEvaluator,
-    SingularMatrixError,
     SpacetimePoint,
     build_matrix,
     eval_fields,
@@ -61,7 +60,6 @@ __all__ = [
     "ParameterSet",
     "PotentialEvaluator",
     "ResidualReport",
-    "SingularMatrixError",
     "SpacetimePoint",
     "ValidationReport",
     "VelocityInverseError",

@@ -105,8 +105,16 @@ class ValidationReport:
         return self.ok
 
 
+def _modulus(x: complex) -> float:
+    """|x|, inf beyond the float range, where Python's abs raises OverflowError."""
+    try:
+        return abs(x)
+    except OverflowError:
+        return math.inf
+
+
 def _close(lhs: complex, rhs: complex) -> bool:
-    return abs(lhs - rhs) <= CONSTRAINT_RTOL * (1.0 + abs(rhs))
+    return _modulus(lhs - rhs) <= CONSTRAINT_RTOL * (1.0 + _modulus(rhs))
 
 
 def expand_blocks(energy: float, seeds: Sequence[BlockSeed], check: bool = True) -> ParameterSet:
@@ -163,10 +171,12 @@ def validate(p: ParameterSet) -> ValidationReport:
         v.append("parameters must be finite")
         return ValidationReport(False, tuple(v))
 
-    for j in range(n4):
-        if abs(lam[j]) < ZERO_LAMBDA_TOL:
+    lams, gams = lam.tolist(), gam.tolist()  # Python scalars: cheaper than numpy's
+    mods = [_modulus(x) for x in lams]
+    for j, m in enumerate(mods):
+        if m < ZERO_LAMBDA_TOL:
             v.append(f"lambda[{j + 1}] is zero within tolerance")
-        if abs(abs(lam[j]) - 1.0) < UNIT_MODULUS_TOL:
+        if abs(m - 1.0) < UNIT_MODULUS_TOL:
             v.append(f"|lambda[{j + 1}]| = 1 within tolerance")
     tol = DISTINCT_LAMBDA_TOL * np.maximum(1.0, np.abs(lam))
     close = np.nonzero(np.abs(lam[:, None] - lam) <= tol[:, None])  # row-major order
@@ -175,20 +185,19 @@ def validate(p: ParameterSet) -> ValidationReport:
             v.append(f"lambda[{l + 1}] and lambda[{m + 1}] coincide")
 
     # Pair constraints, j = 1..2N (1-based pairs (2j-1, 2j)).
-    for i in range(n4 // 2):
-        a, b = 2 * i, 2 * i + 1
-        if not _close(lam[b], -lam[a]):
+    for a, b in zip(range(0, n4, 2), range(1, n4, 2)):
+        if not _close(lams[b], -lams[a]):
             v.append(f"lambda[{b + 1}] = -lambda[{a + 1}] violated")
-        if abs(lam[a]) >= ZERO_LAMBDA_TOL and not _close(gam[a] - gam[b], 1.0 / lam[a]):
+        if mods[a] >= ZERO_LAMBDA_TOL and not _close(gams[a] - gams[b], 1.0 / lams[a]):
             v.append(f"gamma[{a + 1}] - gamma[{b + 1}] = 1/lambda[{a + 1}] violated")
 
     # Conjugation constraints, j = 1..N (entries 4j-3 and 4j-1).
-    for k in range(n4 // 4):
-        a, b = 4 * k, 4 * k + 2
-        if abs(lam[a]) >= ZERO_LAMBDA_TOL:
-            if not _close(lam[b], 1.0 / lam[a].conjugate()):
+    for a, b in zip(range(0, n4, 4), range(2, n4, 4)):
+        if mods[a] >= ZERO_LAMBDA_TOL:
+            lb = lams[a].conjugate()  # lb * lb: Python's complex ** raises OverflowError
+            if not _close(lams[b], 1.0 / lb):
                 v.append(f"lambda[{b + 1}] = 1/conj(lambda[{a + 1}]) violated")
-            if not _close(gam[b], lam[a].conjugate() ** 2 * gam[a].conjugate()):
+            if not _close(gams[b], lb * lb * gams[a].conjugate()):
                 v.append(
                     f"gamma[{b + 1}] = conj(lambda[{a + 1}])^2 conj(gamma[{a + 1}]) violated"
                 )

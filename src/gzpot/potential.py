@@ -75,15 +75,8 @@ class EvaluationError(Exception):
         self.point = point
 
 
-class SingularMatrixError(EvaluationError):
-    """Potential matrix exactly singular at an evaluation point."""
-
-    def __init__(self, point: "SpacetimePoint"):
-        super().__init__(f"singular potential matrix at {point}", point)
-
-
 class NearSingularError(EvaluationError):
-    """Potential matrix nearly singular at an evaluation point."""
+    """Potential matrix nearly or, with rcond = 0, exactly singular at a point."""
 
     def __init__(self, point: "SpacetimePoint", absdet: float, rcond: float):
         super().__init__(
@@ -302,19 +295,20 @@ def _contract(
         out[:, rows] += np.vecdot(weights, h.reshape(p, 1, n * n))
 
 
-def _inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A^-1, exactly singular mask) of the stack a.
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """A^-1 of the stack a, all inf where a matrix is exactly singular.
 
     Only if inv finds an exactly singular matrix does slogdet run, to tell
-    which; those then become the identity in a, so that one inverse serves
-    the chunk.
+    which; one inverse with the identity in their place serves the chunk, and
+    their inf inverse makes their condition number inf.
     """
     try:
-        return np.linalg.inv(a), np.zeros(len(a), dtype=bool)
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError:
         singular = np.linalg.slogdet(a)[0] == 0
-        a[singular] = np.eye(a.shape[-1])
-        return np.linalg.inv(a), singular
+        ainv = np.linalg.inv(np.where(singular[:, None, None], np.eye(a.shape[-1]), a))
+        ainv[singular] = np.inf
+        return ainv
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or NaN cond is near-singular
@@ -329,7 +323,7 @@ def log_det_partials(
     slogdet.  Returns the partials per key and the exact 1-norm condition
     number ||A||_1 ||A^-1||_1, each of shape (P,).  The points are processed
     in chunks of CHUNK_ELEMENTS matrix entries, and the first point in input
-    order whose matrix is not finite, singular or near-singular raises.
+    order whose matrix is not finite or near-singular raises.
     """
     z = np.asarray(z, dtype=complex).ravel()
     t = np.asarray(t, dtype=float).ravel()
@@ -345,20 +339,18 @@ def log_det_partials(
     for lo in range(0, z.size, step):
         hi = lo + step
         a = ev.matrices(z[lo:hi], t[lo:hi])
-        ainv, singular = _inverse(a)
+        ainv = _inverse(a)
         # 1-norms, the largest column sums of moduli; only the diagonal of A varies.
         diag = np.abs(a.reshape(len(a), -1)[:, :: ev.size + 1])
         c = cond[lo:hi] = (
             (ev._offdiag_colsum + diag).max(axis=1) * np.abs(ainv).sum(axis=1).max(axis=1)
         )
-        bad = ~(c <= 1.0 / NEAR_SINGULAR_RCOND) | singular  # NaN is bad
+        bad = ~(c <= 1.0 / NEAR_SINGULAR_RCOND)  # NaN is bad
         if bad.any():
             i = int(bad.argmax())
             point = SpacetimePoint.from_z(z[lo + i], t[lo + i])
             if not np.isfinite(a[i]).all():
                 raise EvaluationError(f"potential matrix not finite at {point}", point)
-            if singular[i]:
-                raise SingularMatrixError(point)
             absdet = np.exp(np.linalg.slogdet(a[i])[1])
             raise NearSingularError(point, float(absdet), float(1.0 / c[i]))
         _contract(ev, ainv, keys, der[lo:hi])

@@ -114,6 +114,29 @@ def test_validate_names_conjugation_break(n1_standard):
     assert any(v.startswith("gamma[3] = conj(lambda[1])^2") for v in report.violations)
 
 
+def test_validate_overflowing_conjugation_product_is_quiet():
+    # conj(lambda)^2 conj(gamma) overflows at |lambda| = 1e160; as a product
+    # it reads inf without the warning of a scalar power.
+    lam = [1e160, -1e160, 1e-160, -1e-160]
+    report = gz.validate(gz.ParameterSet(1.0, lam, np.ones(4)))
+    assert report.violations == (
+        "lambda[3] is zero within tolerance",
+        "lambda[4] is zero within tolerance",
+        "lambda[3] and lambda[4] coincide",
+    )
+
+
+def test_validate_modulus_beyond_the_float_range(n1_standard):
+    # A finite gamma whose modulus overflows is a violation, not an OverflowError.
+    gam = n1_standard.gammas.copy()
+    gam[2] = 1.5e308 + 1.5e308j
+    report = gz.validate(gz.ParameterSet(1.0, n1_standard.lambdas, gam))
+    assert report.violations == (
+        "gamma[3] - gamma[4] = 1/lambda[3] violated",
+        "gamma[3] = conj(lambda[1])^2 conj(gamma[1]) violated",
+    )
+
+
 def test_validate_reports_coincidences_in_pair_order():
     # Several coincidences per set, some within and some just beyond the
     # tolerance, which scales with the first lambda of a pair.

@@ -172,10 +172,37 @@ def test_exactly_singular_matrix_raises(n1_standard, monkeypatch):
         return a
 
     monkeypatch.setattr(ev, "matrices", singular_at_second_point)
-    with pytest.raises(gz.EvaluationError) as err:
+    with pytest.raises(gz.NearSingularError) as err:
         fields(ev, z, t)
-    assert isinstance(err.value, gz.SingularMatrixError)
     assert err.value.point == gz.SpacetimePoint.from_z(z[1], t[1])
+    assert err.value.absdet == 0.0 and err.value.rcond == 0.0
+
+
+def test_both_paths_report_an_exactly_singular_matrix_alike(n1_standard, monkeypatch):
+    # One failure rule: |det| = 0 and rcond = 0 from the kernel, whose A is
+    # left as assembled (an identity put in its place would read |det| = 1),
+    # and from the linear-system path.
+    ev = gz.PotentialEvaluator(n1_standard)
+    assemble = ev.matrices
+    z, t = _points(5, seed=4)
+    point = gz.SpacetimePoint.from_z(z[2], t[2])
+
+    def singular_at_third_point(zs, ts):
+        a = assemble(zs, ts)
+        a[zs == z[2]] = np.diag([1.0, 0.0, 0.0, 0.0])
+        return a
+
+    monkeypatch.setattr(ev, "matrices", singular_at_third_point)
+    for evaluate in (
+        lambda: gz.eval_fields(ev, point),
+        lambda: fields(ev, z, t),
+        lambda: log_det_partials(ev, z, t, KERNEL_KEYS),
+        lambda: gz.linear_system_fields(ev, point),
+    ):
+        with pytest.raises(gz.NearSingularError) as err:
+            evaluate()
+        assert err.value.point == point
+        assert err.value.absdet == 0.0 and err.value.rcond == 0.0
 
 
 def test_near_singular_point_before_a_singular_one_raises_first(near_singular_set, monkeypatch):
@@ -220,9 +247,10 @@ def test_bad_points_raise_in_order_without_the_determinant(near_singular_set, mo
     with pytest.raises(gz.NearSingularError):
         log_det_partials(ev, z, t, KERNEL_KEYS)
     monkeypatch.setattr(ev, "matrices", singular_at(1))
-    with pytest.raises(gz.SingularMatrixError) as err:
+    with pytest.raises(gz.NearSingularError) as err:
         log_det_partials(ev, z, t, KERNEL_KEYS)
     assert err.value.point == gz.SpacetimePoint.from_z(z[1], t[1])
+    assert err.value.absdet == 0.0 and err.value.rcond == 0.0
 
 
 def test_nonfinite_matrix_is_reported_as_not_finite(n1_standard, monkeypatch):
